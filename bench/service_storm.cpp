@@ -35,7 +35,6 @@
 #include "lbmhd/simulation.hpp"
 #include "service/job_server.hpp"
 #include "simrt/communicator.hpp"
-#include "simrt/locality.hpp"
 #include "simrt/transport.hpp"
 #include "trace/metrics.hpp"
 
@@ -224,24 +223,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // Oversubscription fail-fast (same contract as bench/wallclock): the storm
-  // runs jobs at up to max_ranks ranks, and pinning more ranks than the host
-  // has cpus stacks pinned workers on the same cores — latencies would
-  // measure scheduler thrash, not the service layer. Refuse with a clear
-  // message instead of emitting a poisoned summary.
-  constexpr int kStormMaxRanks = 8;  // mirrors config.max_ranks below
-  const vpar::simrt::AffinityMode env_mode = vpar::simrt::affinity_mode();
-  if (env_mode != vpar::simrt::AffinityMode::Off &&
-      kStormMaxRanks > vpar::simrt::pinnable_slots()) {
-    std::fprintf(stderr,
-                 "service_storm: VPAR_AFFINITY=%s pins worker ranks, but the "
-                 "storm runs P=%d ranks and this host has %d pinnable "
-                 "cpu(s).\nRe-run with VPAR_AFFINITY=off, or on a host with "
-                 "at least %d cpus.\n",
-                 vpar::simrt::to_string(env_mode), kStormMaxRanks,
-                 vpar::simrt::pinnable_slots(), kStormMaxRanks);
-    return 2;
-  }
 
   if (max_load > 0.0) {
     if (const int rc = busy_host_guard(max_load); rc != 0) return rc;
@@ -253,7 +234,7 @@ int main(int argc, char** argv) {
   ServerConfig config;
   config.lanes = lanes;
   config.queue_capacity = 32;
-  config.max_ranks = kStormMaxRanks;
+  config.max_ranks = 8;
   config.default_watchdog = 10s;
   config.breaker.window = 64;
   config.breaker.min_samples = 16;

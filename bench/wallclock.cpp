@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "arch/topology.hpp"
 #include "blas/blas.hpp"
 #include "cactus/adm.hpp"
 #include "cactus/evolve.hpp"
@@ -38,9 +37,6 @@
 #include "lbmhd/field_set.hpp"
 #include "lbmhd/simulation.hpp"
 #include "simd/dispatch.hpp"
-#include "simrt/arena.hpp"
-#include "simrt/arena_policy.hpp"
-#include "simrt/locality.hpp"
 #include "simrt/parallel.hpp"
 #include "simrt/runtime.hpp"
 #include "simrt/transport.hpp"
@@ -417,66 +413,10 @@ std::vector<SimdProbe> run_simd_probes() {
   return probes;
 }
 
-// --- locality / arena-policy probes ----------------------------------------
-
-/// Largest concurrency the suite runs at; the oversubscription fail-fast
-/// compares this against the host's pinnable cpus.
-constexpr int kSuiteMaxProcs = 8;
-
-struct AffinityProbe {
-  std::string name;
-  double off_seconds = 0.0;
-  double pinned_seconds = 0.0;
-  [[nodiscard]] double ratio() const {
-    return off_seconds > 0.0 ? pinned_seconds / off_seconds : 1.0;
-  }
-};
-
-/// Time one workload with workers floating (Off) vs pinned (Compact).
-/// Interleaved min-of-3 per mode, same rationale as the trace probe: load
-/// drift must not read as a fake ratio. The caller sizes the workload to the
-/// host's pinnable cpus, so on a one-core box this is a pinned-vs-floating
-/// comparison at P=1 — an honest overhead check, not a locality win.
-AffinityProbe affinity_probe(const std::string& name,
-                             const std::function<void()>& fn) {
-  AffinityProbe p;
-  p.name = name;
-  for (int i = 0; i < 3; ++i) {
-    vpar::simrt::set_affinity_mode(vpar::simrt::AffinityMode::Off);
-    const double off = time_of(fn);
-    vpar::simrt::set_affinity_mode(vpar::simrt::AffinityMode::Compact);
-    const double pinned = time_of(fn);
-    p.off_seconds = i == 0 ? off : std::min(p.off_seconds, off);
-    p.pinned_seconds = i == 0 ? pinned : std::min(p.pinned_seconds, pinned);
-  }
-  std::printf("  affinity %-10s off %7.3f s  pinned %7.3f s  (ratio %.3fx)\n",
-              name.c_str(), p.off_seconds, p.pinned_seconds, p.ratio());
-  std::fflush(stdout);
-  return p;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_wallclock.json";
-
-  // Oversubscription fail-fast: the suite runs jobs at P=8, and pinning more
-  // ranks than the host has cpus stacks pinned workers on the same cores —
-  // the numbers would measure scheduler thrash, not locality. Refuse with a
-  // clear message instead of emitting a poisoned baseline.
-  const vpar::simrt::AffinityMode env_mode = vpar::simrt::affinity_mode();
-  if (env_mode != vpar::simrt::AffinityMode::Off &&
-      kSuiteMaxProcs > vpar::simrt::pinnable_slots()) {
-    std::fprintf(stderr,
-                 "wallclock: VPAR_AFFINITY=%s pins worker ranks, but the suite "
-                 "runs P=%d ranks and this host has %d pinnable cpu(s).\n"
-                 "Re-run with VPAR_AFFINITY=off, or on a host with at least %d "
-                 "cpus. (The affinity probe below still runs A/B pinning at a "
-                 "concurrency the host can hold.)\n",
-                 vpar::simrt::to_string(env_mode), kSuiteMaxProcs,
-                 vpar::simrt::pinnable_slots(), kSuiteMaxProcs);
-    return 2;
-  }
 
   // Warm the runtime (and, when pooled, the worker team) at the largest P so
   // first-use costs are not charged to the first timed bench.
@@ -606,94 +546,6 @@ int main(int argc, char** argv) {
   std::printf("simd aggregate: scalar %.3f s, simd %.3f s (%.2fx)\n",
               simd_scalar_total, simd_vector_total, simd_aggregate);
 
-  // Affinity probe: floating vs pinned workers at a concurrency the host can
-  // actually hold (P = min(8, pinnable cpus) — P=1 on a one-core runner).
-  // Own JSON field, NOT a bench entry, so the committed aggregate baselines
-  // stay comparable across the change that introduced the locality layer.
-  // The multi-core >= 1.2x verification of pinning lands where multi-core
-  // hardware exists (CI bench runner); here the honest expectation on one
-  // core is ratio ~1.0 — pinning must at least not hurt.
-  const auto& topo = vpar::arch::host_topology();
-  const int probe_procs =
-      std::max(1, std::min(kSuiteMaxProcs, vpar::simrt::pinnable_slots()));
-  std::printf("affinity probe: P=%d (%d pinnable cpus, %d cores, %d nodes, %s)\n",
-              probe_procs, topo.num_cpus(), topo.num_cores(), topo.num_nodes,
-              vpar::simrt::pinning_supported() ? "pinning supported"
-                                               : "pinning unsupported");
-  std::vector<AffinityProbe> affinity;
-  affinity.push_back(affinity_probe("p2p_small", [probe_procs] {
-    p2p_small(probe_procs, 6000);
-  }));
-  affinity.push_back(affinity_probe("lbmhd", [probe_procs] {
-    lbmhd_steps(probe_procs, probe_procs, 1, 25);
-  }));
-  vpar::simrt::set_affinity_mode(env_mode);
-
-  // Arena policy probe: the fixed historical caps vs the policy the adaptive
-  // controller derives from this very suite's comm.bytes_per_op traffic.
-  // Adaptation is paused during the A/B so end-of-job refreshes don't fight
-  // the alternation; each set_policy flip counts in arena.resize.
-  const bool saved_adaptation = vpar::simrt::arena_adaptation();
-  vpar::simrt::set_arena_adaptation(true);
-  vpar::simrt::refresh_arena_policy();  // fold the suite's traffic in
-  const vpar::simrt::ArenaPolicy adaptive_policy =
-      vpar::simrt::BufferArena::instance().policy();
-  const vpar::simrt::ArenaPolicy fixed_policy =
-      vpar::simrt::ArenaPolicy::fixed_default();
-  vpar::simrt::set_arena_adaptation(false);
-  double arena_fixed = 0.0, arena_adaptive = 0.0;
-  const auto arena_workload = [] { p2p_medium(4, 5000); };
-  for (int i = 0; i < 3; ++i) {
-    vpar::simrt::BufferArena::instance().set_policy(fixed_policy);
-    const double f = time_of(arena_workload);
-    vpar::simrt::BufferArena::instance().set_policy(adaptive_policy);
-    const double a = time_of(arena_workload);
-    arena_fixed = i == 0 ? f : std::min(arena_fixed, f);
-    arena_adaptive = i == 0 ? a : std::min(arena_adaptive, a);
-  }
-  const double arena_ratio =
-      arena_fixed > 0.0 ? arena_adaptive / arena_fixed : 1.0;
-  std::printf("arena probe: fixed %.3f s, adaptive %.3f s (ratio %.3fx)\n",
-              arena_fixed, arena_adaptive, arena_ratio);
-
-  // Warm-start sidecar round trip: persist the learned profile next to the
-  // output and prove a fresh load installs it.
-  const std::string sidecar_path = out_path + ".arena-profile";
-  const bool sidecar_saved = vpar::simrt::save_arena_profile(sidecar_path);
-  const bool sidecar_reloaded =
-      sidecar_saved && vpar::simrt::load_arena_profile(sidecar_path);
-  std::printf("arena profile sidecar: %s (%s)\n", sidecar_path.c_str(),
-              sidecar_reloaded ? "saved + reloaded" : "FAILED");
-
-  // Combined acceptance probe: the full locality configuration (pinned
-  // workers + adaptive arena) against the untuned baseline (floating
-  // workers + fixed caps). The acceptance bar on a one-core host is
-  // "no worse": combined_ratio <= 1.05.
-  double combined_base = 0.0, combined_tuned = 0.0;
-  const auto combined_workload = [probe_procs] {
-    lbmhd_steps(probe_procs, probe_procs, 1, 15);
-    p2p_small(probe_procs, 3000);
-  };
-  for (int i = 0; i < 3; ++i) {
-    vpar::simrt::set_affinity_mode(vpar::simrt::AffinityMode::Off);
-    vpar::simrt::BufferArena::instance().set_policy(fixed_policy);
-    const double base = time_of(combined_workload);
-    vpar::simrt::set_affinity_mode(vpar::simrt::AffinityMode::Compact);
-    vpar::simrt::BufferArena::instance().set_policy(adaptive_policy);
-    const double tuned = time_of(combined_workload);
-    combined_base = i == 0 ? base : std::min(combined_base, base);
-    combined_tuned = i == 0 ? tuned : std::min(combined_tuned, tuned);
-  }
-  const double combined_ratio =
-      combined_base > 0.0 ? combined_tuned / combined_base : 1.0;
-  std::printf(
-      "combined probe: off+fixed %.3f s, pinned+adaptive %.3f s (ratio %.3fx)\n",
-      combined_base, combined_tuned, combined_ratio);
-  vpar::simrt::set_affinity_mode(env_mode);
-  vpar::simrt::set_arena_adaptation(saved_adaptation);
-  const std::uint64_t arena_resizes =
-      vpar::trace::Metrics::instance().counter("arena.resize").value();
-
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "wallclock: cannot open " << out_path << "\n";
@@ -736,38 +588,6 @@ int main(int argc, char** argv) {
         << (i + 1 < simd_probes.size() ? "," : "") << "\n";
   }
   out << "    ],\n    \"aggregate_speedup\": " << simd_aggregate
-      << "\n  },\n";
-  out << "  \"affinity\": {\n"
-      << "    \"mode_env\": \"" << vpar::simrt::to_string(env_mode) << "\",\n"
-      << "    \"pinning_supported\": "
-      << (vpar::simrt::pinning_supported() ? "true" : "false") << ",\n"
-      << "    \"host_cores\": " << std::thread::hardware_concurrency() << ",\n"
-      << "    \"pinnable_cpus\": " << topo.num_cpus() << ",\n"
-      << "    \"physical_cores\": " << topo.num_cores() << ",\n"
-      << "    \"numa_nodes\": " << topo.num_nodes << ",\n"
-      << "    \"probe_procs\": " << probe_procs << ",\n"
-      << "    \"probes\": [\n";
-  for (std::size_t i = 0; i < affinity.size(); ++i) {
-    const auto& a = affinity[i];
-    out << "      {\"name\": \"" << a.name << "\", \"off_seconds\": "
-        << a.off_seconds << ", \"pinned_seconds\": " << a.pinned_seconds
-        << ", \"ratio\": " << a.ratio() << "}"
-        << (i + 1 < affinity.size() ? "," : "") << "\n";
-  }
-  out << "    ],\n"
-      << "    \"combined_off_fixed_seconds\": " << combined_base << ",\n"
-      << "    \"combined_pinned_adaptive_seconds\": " << combined_tuned << ",\n"
-      << "    \"combined_ratio\": " << combined_ratio << "\n  },\n";
-  out << "  \"arena_policy\": {\n"
-      << "    \"adaptation_default\": "
-      << (saved_adaptation ? "true" : "false") << ",\n"
-      << "    \"provenance\": \"" << adaptive_policy.provenance << "\",\n"
-      << "    \"fixed_seconds\": " << arena_fixed << ",\n"
-      << "    \"adaptive_seconds\": " << arena_adaptive << ",\n"
-      << "    \"ratio\": " << arena_ratio << ",\n"
-      << "    \"resizes\": " << arena_resizes << ",\n"
-      << "    \"sidecar\": \"" << sidecar_path << "\",\n"
-      << "    \"sidecar_reloaded\": " << (sidecar_reloaded ? "true" : "false")
       << "\n  },\n";
   // Whole-process metrics snapshot (message counts, payload tiers, fault
   // totals) — the registry view of everything the benches above did.

@@ -1,21 +1,18 @@
 #include "simrt/arena.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "simrt/fault.hpp"
-#include "trace/metrics.hpp"
 
 namespace vpar::simrt {
 
 namespace {
 
-/// Historical per-class caps, now the fixed default of the policy layer:
-/// ~8 MiB shared (at least 4 blocks) so a burst of large transposes cannot
-/// pin unbounded memory, 256 KiB per-thread front cache (at least 2 blocks)
-/// so the messaging hot paths skip the arena mutex.
-constexpr std::size_t kDefaultSharedBytesPerClass = std::size_t{8} << 20;
-constexpr std::size_t kDefaultThreadCacheBytesPerClass = std::size_t{256} << 10;
+/// Per-class caching caps: ~8 MiB shared (at least 4 blocks) so a burst of
+/// large transposes cannot pin unbounded memory, 256 KiB per-thread front
+/// cache (at least 2 blocks) so the messaging hot paths skip the arena mutex.
+constexpr std::size_t kSharedBytesPerClass = std::size_t{8} << 20;
+constexpr std::size_t kThreadCacheBytesPerClass = std::size_t{256} << 10;
 
 struct ThreadCache {
   std::vector<std::byte*> lists[BufferArena::kNumClasses];
@@ -55,30 +52,7 @@ ThreadCache* thread_cache() {
   return t_cache;
 }
 
-trace::Counter& resize_meter() {
-  static trace::Counter& c = trace::Metrics::instance().counter("arena.resize");
-  return c;
-}
-
 }  // namespace
-
-ArenaPolicy ArenaPolicy::fixed_default() {
-  ArenaPolicy p;
-  p.shared_cap_bytes.fill(kDefaultSharedBytesPerClass);
-  p.thread_cap_bytes.fill(kDefaultThreadCacheBytesPerClass);
-  p.warm_bytes.fill(0);
-  p.provenance = "fixed";
-  return p;
-}
-
-BufferArena::BufferArena() : policy_(ArenaPolicy::fixed_default()) {
-  for (int cls = 0; cls < kNumClasses; ++cls) {
-    shared_cap_[cls].store(policy_.shared_cap_bytes[static_cast<std::size_t>(cls)],
-                           std::memory_order_relaxed);
-    thread_cap_[cls].store(policy_.thread_cap_bytes[static_cast<std::size_t>(cls)],
-                           std::memory_order_relaxed);
-  }
-}
 
 BufferArena& BufferArena::instance() {
   static BufferArena* arena = new BufferArena;  // leaked: see class comment
@@ -134,7 +108,7 @@ void BufferArena::release(const ArenaBlock& block) {
   if (ThreadCache* tc = thread_cache(); tc != nullptr) {
     auto& list = tc->lists[block.cls];
     const std::size_t cap = std::max<std::size_t>(
-        2, thread_cap_[block.cls].load(std::memory_order_relaxed) / block.capacity);
+        2, kThreadCacheBytesPerClass / block.capacity);
     if (list.size() < cap) {
       list.push_back(block.data);
       return;
@@ -144,80 +118,13 @@ void BufferArena::release(const ArenaBlock& block) {
     std::lock_guard lock(mutex_);
     auto& list = free_lists_[block.cls];
     const std::size_t cap = std::max<std::size_t>(
-        4, shared_cap_[block.cls].load(std::memory_order_relaxed) / block.capacity);
+        4, kSharedBytesPerClass / block.capacity);
     if (list.size() < cap) {
       list.push_back(block.data);
       return;
     }
   }
   delete[] block.data;
-}
-
-std::size_t BufferArena::cached_bytes() {
-  std::lock_guard lock(mutex_);
-  std::size_t total = 0;
-  for (int cls = 0; cls < kNumClasses; ++cls) {
-    total += free_lists_[cls].size() * (kMinClassBytes << cls);
-  }
-  return total;
-}
-
-bool BufferArena::set_policy(const ArenaPolicy& policy) {
-  bool changed = false;
-  {
-    std::lock_guard lock(mutex_);
-    changed = !policy_.same_limits(policy);
-    policy_ = policy;
-    for (int cls = 0; cls < kNumClasses; ++cls) {
-      const auto c = static_cast<std::size_t>(cls);
-      shared_cap_[cls].store(policy.shared_cap_bytes[c], std::memory_order_relaxed);
-      thread_cap_[cls].store(policy.thread_cap_bytes[c], std::memory_order_relaxed);
-      const std::size_t capacity = kMinClassBytes << cls;
-      const std::size_t cap_blocks =
-          std::max<std::size_t>(4, policy.shared_cap_bytes[c] / capacity);
-      auto& list = free_lists_[cls];
-      while (list.size() > cap_blocks) {
-        delete[] list.back();
-        list.pop_back();
-      }
-    }
-  }
-  if (changed) {
-    policy_epoch_.fetch_add(1, std::memory_order_relaxed);
-    resize_meter().add(1);
-  }
-  return changed;
-}
-
-ArenaPolicy BufferArena::policy() {
-  std::lock_guard lock(mutex_);
-  return policy_;
-}
-
-std::size_t BufferArena::warm_thread_cache() {
-  ThreadCache* tc = thread_cache();
-  if (tc == nullptr) return 0;
-  const ArenaPolicy p = policy();
-  std::size_t touched = 0;
-  for (int cls = 0; cls < kNumClasses; ++cls) {
-    const auto c = static_cast<std::size_t>(cls);
-    if (p.warm_bytes[c] == 0) continue;
-    const std::size_t capacity = kMinClassBytes << cls;
-    const std::size_t cache_cap = std::max<std::size_t>(
-        2, thread_cap_[cls].load(std::memory_order_relaxed) / capacity);
-    const std::size_t want =
-        std::min(p.warm_bytes[c] / capacity, cache_cap);
-    auto& list = tc->lists[cls];
-    while (list.size() < want) {
-      // Fresh allocation + zeroing on this thread: under first-touch NUMA
-      // placement the pages now belong to this worker's node.
-      std::byte* data = new std::byte[capacity];
-      std::memset(data, 0, capacity);
-      list.push_back(data);
-      touched += capacity;
-    }
-  }
-  return touched;
 }
 
 }  // namespace vpar::simrt

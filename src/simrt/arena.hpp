@@ -1,20 +1,10 @@
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <string>
+#include <mutex>
 #include <vector>
 
-#include <mutex>
-
 namespace vpar::simrt {
-
-/// Arena size-class geometry: powers of two from 64 B to 4 MiB.
-inline constexpr std::size_t kArenaMinClassBytes = 64;
-inline constexpr std::size_t kArenaMaxClassBytes = std::size_t{4} << 20;
-inline constexpr int kArenaNumClasses = 17;  // 64 B, 128 B, ..., 4 MiB
 
 /// Handle to one arena-owned buffer. `cls` is the size-class index the block
 /// must be returned to; -1 marks an oversize block that bypassed the classes
@@ -23,36 +13,6 @@ struct ArenaBlock {
   std::byte* data = nullptr;
   std::size_t capacity = 0;
   int cls = -1;
-};
-
-/// Per-class caching limits of the BufferArena. The fixed default reproduces
-/// the historical caps (8 MiB shared / 256 KiB thread-cache per class); the
-/// adaptive controller in simrt/arena_policy.hpp derives tighter, traffic-
-/// shaped limits from the comm.bytes_per_op histogram instead.
-struct ArenaPolicy {
-  /// Cap on bytes parked on the shared free list of each class (a floor of
-  /// 4 blocks always applies, mirroring the historical behaviour).
-  std::array<std::size_t, kArenaNumClasses> shared_cap_bytes{};
-  /// Cap on bytes parked in each thread's front cache per class (floor of
-  /// 2 blocks).
-  std::array<std::size_t, kArenaNumClasses> thread_cap_bytes{};
-  /// First-touch warm target per class: bytes of freshly allocated, zeroed
-  /// blocks each pool worker parks in its front cache when the policy
-  /// changes, faulting the pages on the worker's own core/NUMA node.
-  std::array<std::size_t, kArenaNumClasses> warm_bytes{};
-  /// "fixed" or "adaptive" — where these limits came from (diagnostics).
-  std::string provenance = "fixed";
-
-  /// The historical fixed caps; the arena starts with these.
-  [[nodiscard]] static ArenaPolicy fixed_default();
-
-  /// True when the numeric limits match (provenance excluded) — the
-  /// hysteresis test for "did the policy materially change".
-  [[nodiscard]] bool same_limits(const ArenaPolicy& other) const {
-    return shared_cap_bytes == other.shared_cap_bytes &&
-           thread_cap_bytes == other.thread_cap_bytes &&
-           warm_bytes == other.warm_bytes;
-  }
 };
 
 /// Process-wide size-classed recycling arena for message payload buffers.
@@ -65,10 +25,6 @@ struct ArenaPolicy {
 /// per-thread front cache absorbs same-thread release/acquire cycles without
 /// taking the mutex; the shared lists back it. Requests above the largest
 /// class fall through to plain heap allocation.
-///
-/// Per-class caching limits come from the active ArenaPolicy (fixed defaults
-/// unless the adaptive controller installs traffic-derived ones); the caps
-/// are read with relaxed atomics on the release fast path.
 ///
 /// instance() returns a deliberately leaked singleton: payloads cached inside
 /// the shared Executor's runtime state are released during static
@@ -85,43 +41,15 @@ class BufferArena {
   /// cache bound are freed.
   void release(const ArenaBlock& block);
 
-  /// Total bytes currently parked on the shared free lists (diagnostic;
-  /// excludes per-thread front caches).
-  [[nodiscard]] std::size_t cached_bytes();
-
-  /// Install new per-class caching limits, trimming shared free lists that
-  /// exceed them. Returns true (and bumps the policy epoch and the
-  /// arena.resize metric) when the limits materially changed.
-  bool set_policy(const ArenaPolicy& policy);
-
-  /// Copy of the active policy.
-  [[nodiscard]] ArenaPolicy policy();
-
-  /// Monotonic epoch bumped by every material set_policy change; pool
-  /// workers compare it thread-locally to re-warm their front caches only
-  /// when the policy moved.
-  [[nodiscard]] std::uint64_t policy_epoch() {
-    return policy_epoch_.load(std::memory_order_relaxed);
-  }
-
-  /// Top the calling thread's front cache up to the active policy's
-  /// warm_bytes targets with freshly allocated, zeroed blocks — first-touch
-  /// placement: the pages fault in on this thread. Returns bytes touched.
-  std::size_t warm_thread_cache();
-
-  static constexpr std::size_t kMinClassBytes = kArenaMinClassBytes;
-  static constexpr std::size_t kMaxClassBytes = kArenaMaxClassBytes;
-  static constexpr int kNumClasses = kArenaNumClasses;
+  static constexpr std::size_t kMinClassBytes = 64;
+  static constexpr std::size_t kMaxClassBytes = std::size_t{4} << 20;
+  static constexpr int kNumClasses = 17;  // 64 B, 128 B, ..., 4 MiB
 
  private:
-  BufferArena();
+  BufferArena() = default;
 
   std::mutex mutex_;
   std::vector<std::byte*> free_lists_[kNumClasses];
-  ArenaPolicy policy_;  // guarded by mutex_ (atomic caps mirror it below)
-  std::atomic<std::size_t> shared_cap_[kNumClasses];
-  std::atomic<std::size_t> thread_cap_[kNumClasses];
-  std::atomic<std::uint64_t> policy_epoch_{1};
 };
 
 }  // namespace vpar::simrt

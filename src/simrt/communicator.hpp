@@ -31,7 +31,6 @@ struct RuntimeState {
         mailboxes(static_cast<std::size_t>(size_in)),
         rendezvous(size_in),
         recorders(static_cast<std::size_t>(size_in)),
-        placed(static_cast<std::size_t>(size_in), 0),
         control(size_in),
         transport(std::make_unique<InprocTransport>(mailboxes)) {
     for (int r = 0; r < size_in; ++r) {
@@ -73,30 +72,12 @@ struct RuntimeState {
     for (auto& r : recorders) r.clear();
   }
 
-  /// First-touch placement of rank `rank`'s queue storage, called by the
-  /// rank's own worker thread at job pickup. Idempotent per RuntimeState
-  /// lifetime (the ring survives reset(), so one placement serves every
-  /// recycled job); each rank only ever touches its own flag, from the one
-  /// worker thread that owns that rank. Returns bytes newly allocated.
-  std::size_t place_rank(int rank) {
-    auto& flag = placed[static_cast<std::size_t>(rank)];
-    if (flag != 0) return 0;
-    flag = 1;
-    return mailboxes[static_cast<std::size_t>(rank)].place(kPlaceSlots);
-  }
-
-  /// Ring slots reserved per rank at placement: deep enough for a 16-rank
-  /// job's worst queue depth (P-1 alltoall fragments plus collective
-  /// traffic) without growth on the delivery path.
-  static constexpr std::size_t kPlaceSlots = 64;
-
   int size;
   std::vector<Mailbox> mailboxes;
   Rendezvous rendezvous;
   std::mutex registry_mutex;
   std::map<std::string, std::shared_ptr<void>> registry;
   std::vector<perf::Recorder> recorders;
-  std::vector<char> placed;  // per-rank first-touch-done flags
   JobControl control;
   std::unique_ptr<Transport> transport;  // message routing backend (see transport.hpp)
 };

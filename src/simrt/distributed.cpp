@@ -330,7 +330,6 @@ RunResult run_distributed(const RunOptions& options,
   }
   for (auto& r : state.recorders) r.clear();
   state.control.configure(options);
-  state.place_rank(rank);
 
   std::exception_ptr error;
   LocalSupervisor supervisor(state, *session.transport, rank);

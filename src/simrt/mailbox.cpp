@@ -39,10 +39,6 @@ void MessageRing::grow(std::size_t min_capacity) {
   head_ = 0;
 }
 
-void MessageRing::reserve(std::size_t n) {
-  if (n > slots_.size()) grow(n);
-}
-
 void MessageRing::insert(std::size_t pos, Message&& msg) {
   if (count_ == slots_.size()) grow(count_ + 1);
   const std::size_t mask = slots_.size() - 1;
@@ -222,14 +218,6 @@ void Mailbox::reset() {
   std::lock_guard lock(mutex_);
   queue_.clear();
   pending_.clear();
-}
-
-std::size_t Mailbox::place(std::size_t slots) {
-  std::lock_guard lock(mutex_);
-  const std::size_t before = queue_.capacity();
-  queue_.reserve(slots);
-  const std::size_t grown = queue_.capacity() - before;
-  return grown * sizeof(Message);
 }
 
 }  // namespace vpar::simrt

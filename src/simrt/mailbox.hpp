@@ -134,13 +134,9 @@ struct Message {
 };
 
 /// Power-of-two circular buffer of Messages — the mailbox's queue storage.
-/// Two jobs a std::deque cannot do:
-///  - steady-state delivery reuses slots in place (a deque allocates and
-///    frees chunk nodes as the queue breathes), so the messaging hot path
-///    stops touching the allocator entirely;
-///  - the whole ring is one contiguous allocation that reserve() can grow
-///    on the *owning rank's* worker thread, which under first-touch NUMA
-///    placement puts every queue slot on the owner's node.
+/// Steady-state delivery reuses slots in place (a std::deque allocates and
+/// frees chunk nodes as the queue breathes), so the messaging hot path stops
+/// touching the allocator once the ring has grown to the job's queue depth.
 /// Middle insert/take (reorder injection, tag-selective receive) shift
 /// whichever side is shorter. Indices are logical: 0 is the oldest message.
 class MessageRing {
@@ -161,9 +157,6 @@ class MessageRing {
 
   /// Remove and return the message at logical position `pos`.
   [[nodiscard]] Message take(std::size_t pos);
-
-  /// Grow capacity to at least `n` slots (never shrinks).
-  void reserve(std::size_t n);
 
   /// Release every queued payload; capacity is retained for reuse.
   void clear();
@@ -236,13 +229,6 @@ class Mailbox {
   /// executor between jobs so a recycled mailbox starts clean; after a
   /// well-formed job both containers are already empty.
   void reset();
-
-  /// First-touch placement: reserve at least `slots` ring slots now, on the
-  /// calling thread — the owning rank's worker calls this at job pickup so
-  /// the queue storage's pages fault in on the owner's core/NUMA node
-  /// instead of whichever thread first delivered a message. Returns the
-  /// bytes newly allocated (0 when the ring was already large enough).
-  std::size_t place(std::size_t slots);
 
  private:
   // kAnyTag matches *user* tags only (>= 0); internal collective traffic

@@ -7,10 +7,11 @@ namespace vpar::simrt {
 
 /// Nested loop-level parallelism under the Executor pool — the simulated
 /// analogue of the paper's hybrid MPI+OpenMP mode. A rank's kernel calls
-/// parallel_for to split a loop into chunks; pool workers whose rank is
-/// beyond the current job's size (idle helpers) steal chunks alongside the
-/// owning rank. With no idle helpers — or with hybrid threading disabled —
-/// the call degrades to serial chunk-by-chunk execution on the caller.
+/// parallel_for to split a loop into chunks; workers of the Executor running
+/// the job whose rank is beyond the job's size (idle helpers) steal chunks
+/// alongside the owning rank. With no idle helpers — or with hybrid threading
+/// disabled — the call degrades to serial chunk-by-chunk execution on the
+/// caller.
 ///
 /// Chunk-boundary guarantee: the body is always invoked on the deterministic
 /// chunks [begin + k*grain, min(begin + (k+1)*grain, end)), serial or hybrid;

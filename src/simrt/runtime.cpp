@@ -8,9 +8,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "simrt/arena_policy.hpp"
 #include "simrt/distributed.hpp"
-#include "simrt/locality.hpp"
 #include "trace/chrome_export.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
@@ -29,7 +27,6 @@ struct LoopTask {
   std::size_t end = 0;
   std::size_t grain = 1;
   int owner = -1;                     // issuing rank (trace attribution)
-  int owner_node = -1;                // owner's NUMA node (-1 = unpinned)
   int in_flight = 0;                  // helpers currently inside the body
   std::exception_ptr error;           // first chunk failure (wins)
   const std::function<void(std::size_t, std::size_t)>* body = nullptr;
@@ -44,8 +41,10 @@ thread_local bool t_in_worker = false;
 
 /// Loop-service context of the rank body executing on this worker thread:
 /// set around the body in worker_loop so parallel_for can find the job's
-/// control block and the owning rank. Null on helpers, on run_spawned
-/// threads, and outside the runtime — parallel_for degrades to serial there.
+/// control block, the owning rank, and the Executor whose idle workers may
+/// help. Null on helpers, on run_spawned threads, and outside the runtime —
+/// parallel_for degrades to serial there.
+thread_local Executor* t_loop_executor = nullptr;
 thread_local RuntimeState* t_loop_state = nullptr;
 thread_local int t_loop_rank = -1;
 
@@ -343,10 +342,6 @@ RunResult run_spawned(const RunOptions& options,
       {
         trace::set_thread_label("rank", rank);
         trace::set_thread_rank(rank);
-        // Spawned ranks own their threads for the whole job: first-touch
-        // their mailbox rings here too (no pinning — the spawn path backs
-        // nested runs whose ranks share cores with the pool).
-        count_first_touch(state.place_rank(rank));
         trace::TraceSpan job_span("job", rank, size);
         perf::ScopedRecorder scoped(state.recorders[static_cast<std::size_t>(rank)]);
         Communicator comm(state, rank);
@@ -425,26 +420,19 @@ void Executor::worker_loop(int rank, std::uint64_t seen) {
       state = job_state_;
       size = job_size_;
     }
-    // Placement refresh outside mutex_: re-pin when the affinity mode
-    // changed since this worker's last job, re-warm the arena front cache
-    // when the arena policy moved. Both are epoch-guarded no-ops in steady
-    // state.
-    refresh_worker_locality(rank);
     if (rank >= size) {
       // This job is smaller than the pool: serve active ranks' parallel_for
       // chunks until the next job instead of sleeping through it.
       help_loops(rank, seen);
       continue;
     }
-    // First-touch: fault the rank's mailbox ring in on this worker (the
-    // owning thread) before any peer can deliver into it.
-    count_first_touch(state->place_rank(rank));
 
     {
       trace::set_thread_rank(rank);
       trace::TraceSpan job_span("job", rank, size);
       perf::ScopedRecorder scoped(state->recorders[static_cast<std::size_t>(rank)]);
       Communicator comm(*state, rank);
+      t_loop_executor = this;
       t_loop_state = state;
       t_loop_rank = rank;
       try {
@@ -453,6 +441,7 @@ void Executor::worker_loop(int rank, std::uint64_t seen) {
         record_rank_failure(*state, rank, std::current_exception(), mutex_,
                             first_error_);
       }
+      t_loop_executor = nullptr;
       t_loop_state = nullptr;
       t_loop_rank = -1;
     }
@@ -518,26 +507,14 @@ void Executor::help_loops(int helper, std::uint64_t seen) {
     LoopTask* task = nullptr;
     cv_loop_.wait(lock, [&] {
       if (shutdown_ || generation_ != seen) return true;
-      // Same-node work first: a pinned helper scans for tasks whose owner
-      // shares its NUMA node (or has no known placement) before touching
-      // remote-node loops, so chunk data stays on local memory when it can.
-      const int my_node = current_node();
-      auto claim = [&](bool local_only) {
-        for (LoopTask* t : loop_tasks_) {
-          std::lock_guard g(t->m);
-          if (t->error != nullptr || t->next >= t->end) continue;
-          if (local_only && my_node >= 0 && t->owner_node >= 0 &&
-              t->owner_node != my_node) {
-            continue;
-          }
-          ++t->in_flight;  // join before releasing mutex_: the owner's latch
-          task = t;        // now waits for us even if all chunks drain first
-          count_helper_claim(t->owner_node, my_node);
-          return true;
-        }
-        return false;
-      };
-      return claim(true) || (my_node >= 0 && claim(false));
+      for (LoopTask* t : loop_tasks_) {
+        std::lock_guard g(t->m);
+        if (t->error != nullptr || t->next >= t->end) continue;
+        ++t->in_flight;  // join before releasing mutex_: the owner's latch
+        task = t;        // now waits for us even if all chunks drain first
+        return true;
+      }
+      return false;
     });
     if (task == nullptr) return;  // new job or shutdown: rejoin the job loop
     lock.unlock();
@@ -681,11 +658,6 @@ RunResult Executor::run(const RunOptions& options_in,
     std::rethrow_exception(error);
   }
 
-  // Adaptive arena sizing: fold this job's traffic into the profile and
-  // re-derive the caps (hysteresis inside — the policy only changes when
-  // the traffic shape does).
-  arena_policy_end_of_job();
-
   RunResult result;
   result.per_rank.assign(state_->recorders.begin(), state_->recorders.end());
   for (const auto& r : result.per_rank) result.merged.merge(r);
@@ -717,7 +689,7 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
   RuntimeState* state = t_loop_state;
   if (state != nullptr && !t_in_loop_chunk &&
       hybrid_policy_engages(state->size)) {
-    idle = Executor::shared().idle_helpers(state->size);
+    idle = t_loop_executor->idle_helpers(state->size);
   }
 
   if (grain == 0) {
@@ -749,9 +721,8 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
   task.end = end;
   task.grain = grain;
   task.owner = t_loop_rank;
-  task.owner_node = current_node();  // helpers prefer same-node chunks
   task.body = &body;
-  Executor::shared().loop_parallel(*state, t_loop_rank, task);
+  t_loop_executor->loop_parallel(*state, t_loop_rank, task);
 }
 
 int parallel_width() {
@@ -760,7 +731,7 @@ int parallel_width() {
       !hybrid_policy_engages(state->size)) {
     return 1;
   }
-  return 1 + Executor::shared().idle_helpers(state->size);
+  return 1 + t_loop_executor->idle_helpers(state->size);
 }
 
 RunResult run(const RunOptions& options,

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "simrt/coarray.hpp"
+#include "simrt/mailbox.hpp"
 #include "simrt/runtime.hpp"
 
 namespace vpar::simrt {
@@ -249,6 +250,78 @@ TEST(Simrt, CoArrayRecordsOneSidedTraffic) {
   });
   EXPECT_DOUBLE_EQ(result.per_rank[0].comm().bytes(perf::CommKind::OneSided), 64.0);
   EXPECT_DOUBLE_EQ(result.per_rank[0].comm().messages(perf::CommKind::OneSided), 1.0);
+}
+
+// --- message ring ------------------------------------------------------------
+
+Message tagged(int tag) {
+  Message m;
+  m.tag = tag;
+  return m;
+}
+
+std::vector<int> tags_of(MessageRing& ring) {
+  std::vector<int> tags;
+  for (std::size_t i = 0; i < ring.size(); ++i) tags.push_back(ring[i].tag);
+  return tags;
+}
+
+TEST(MessageRing, PushAndTakeAreFifo) {
+  MessageRing ring;
+  for (int t = 0; t < 6; ++t) ring.push_back(tagged(t));
+  EXPECT_EQ(ring.size(), 6u);
+  for (int t = 0; t < 6; ++t) EXPECT_EQ(ring.take(0).tag, t);
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(MessageRing, GrowthPreservesOrder) {
+  MessageRing ring;
+  for (int t = 0; t < 100; ++t) ring.push_back(tagged(t));
+  EXPECT_GE(ring.capacity(), 100u);
+  for (int t = 0; t < 100; ++t) EXPECT_EQ(ring.take(0).tag, t);
+}
+
+TEST(MessageRing, WrapAroundKeepsFifoOrder) {
+  MessageRing ring;
+  // Grow the ring by pushes, then march the head around it several times
+  // with a steady queue depth, so logical indices wrap the physical slots.
+  int next = 0, expect = 0;
+  for (int i = 0; i < 8; ++i) ring.push_back(tagged(next++));
+  const std::size_t cap = ring.capacity();
+  for (std::size_t step = 0; step < 5 * cap; ++step) {
+    EXPECT_EQ(ring.take(0).tag, expect++);
+    ring.push_back(tagged(next++));
+    EXPECT_EQ(ring.capacity(), cap);  // a steady depth never grows the ring
+  }
+  while (!ring.empty()) EXPECT_EQ(ring.take(0).tag, expect++);
+}
+
+TEST(MessageRing, InsertAtEitherEndAndMiddle) {
+  MessageRing ring;
+  for (int t : {0, 1, 2, 3}) ring.push_back(tagged(t));
+  ring.insert(0, tagged(90));           // front (short-front path)
+  ring.insert(3, tagged(91));           // middle
+  ring.insert(ring.size(), tagged(92)); // back
+  EXPECT_EQ(tags_of(ring), (std::vector<int>{90, 0, 1, 91, 2, 3, 92}));
+}
+
+TEST(MessageRing, TakeFromMiddleShiftsTheShorterSide) {
+  MessageRing ring;
+  for (int t = 0; t < 7; ++t) ring.push_back(tagged(t));
+  EXPECT_EQ(ring.take(1).tag, 1);  // front half
+  EXPECT_EQ(ring.take(4).tag, 5);  // back half
+  EXPECT_EQ(tags_of(ring), (std::vector<int>{0, 2, 3, 4, 6}));
+}
+
+TEST(MessageRing, ClearRetainsCapacity) {
+  MessageRing ring;
+  for (int t = 0; t < 20; ++t) ring.push_back(tagged(t));
+  const std::size_t cap = ring.capacity();
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), cap);
+  ring.push_back(tagged(7));
+  EXPECT_EQ(ring[0].tag, 7);
 }
 
 }  // namespace

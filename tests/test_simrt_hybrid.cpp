@@ -80,6 +80,16 @@ TEST(ParallelFor, WidthIsOneOutsideTheRuntime) {
 
 TEST(ParallelFor, WidthSeesIdleHelpersInsideARank) {
   ModeGuard guard(HybridMode::On);
+  {
+    // Helpers come from the Executor running the job, not the shared pool:
+    // a 1-rank job on a private pool of 4 has three idle workers to ask.
+    Executor executor;
+    executor.run(4, [](Communicator&) {});
+    int width = 0;
+    executor.run(1, [&](Communicator&) { width = parallel_width(); });
+    EXPECT_EQ(width, 4);
+  }
+
   warm_pool();
   int width = 0;
   run(2, [&](Communicator& comm) {
