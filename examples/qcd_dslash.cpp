@@ -5,9 +5,9 @@
 // observables and a decomposition-independent checksum of the gathered
 // field. The same binary runs multi-process via the launcher:
 //
-//   ./scripts/vpar_launch -n 4 -t socket -- ./build/examples/qcd_dslash
+//   ./scripts/vpar_launch -n 4 -- ./build/examples/qcd_dslash
 //
-// and the checksum must come out identical on every transport.
+// and the checksum must come out identical to the in-process run.
 
 #include <cstdio>
 

@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 
-#include "simrt/transport_shm.hpp"
 #include "simrt/transport_socket.hpp"
 #include "trace/trace.hpp"
 
@@ -41,22 +38,11 @@ long env_long(const char* name, long fallback) {
 /// one-rank-per-process session.
 thread_local bool t_in_distributed = false;
 
-/// POSIX shm name for this job's segment: every rank hashes the (shared)
-/// session directory path, so concurrent jobs on one host never collide.
-std::string shm_segment_name(const std::string& session_dir) {
-  const std::uint64_t h = fnv1a64(std::as_bytes(
-      std::span<const char>(session_dir.data(), session_dir.size())));
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(h));
-  return std::string("/vpar-") + hex;
-}
-
 /// Process-wide distributed session: the RuntimeState and transport are
-/// brought up once (full mesh / segment attach, blocking until every rank
-/// arrives) and reused by every subsequent run() — mailboxes deliberately
-/// carry over, because a peer racing ahead into the next run may deliver
-/// that run's first frames before this rank gets there.
+/// brought up once (full socket mesh, blocking until every rank arrives) and
+/// reused by every subsequent run() — mailboxes deliberately carry over,
+/// because a peer racing ahead into the next run may deliver that run's
+/// first frames before this rank gets there.
 struct DistSession {
   DistConfig config = dist_config_from_env();
   std::unique_ptr<RuntimeState> state;
@@ -69,29 +55,16 @@ struct DistSession {
     trace::seed_flow_ids((static_cast<std::uint64_t>(config.rank) + 1) << 40);
     trace::set_thread_label("rank", config.rank);
     state = std::make_unique<RuntimeState>(config.world);
-    std::unique_ptr<Transport> t;
-    if (config.kind == TransportKind::Socket) {
-      SocketTransport::Config sc;
-      sc.rank = config.rank;
-      sc.world = config.world;
-      sc.dir = config.session_dir;
-      sc.tcp_base = config.tcp_base;
-      sc.connect_timeout = config.connect_timeout;
-      sc.heartbeat = config.heartbeat;
-      sc.peer_timeout = config.peer_timeout;
-      t = std::make_unique<SocketTransport>(sc, state->mailboxes,
-                                            state->control);
-    } else {
-      ShmTransport::Config sc;
-      sc.rank = config.rank;
-      sc.world = config.world;
-      sc.name = shm_segment_name(config.session_dir);
-      sc.ring_bytes = config.shm_ring_bytes;
-      sc.connect_timeout = config.connect_timeout;
-      sc.heartbeat = config.heartbeat;
-      sc.peer_timeout = config.peer_timeout;
-      t = std::make_unique<ShmTransport>(sc, state->mailboxes, state->control);
-    }
+    SocketTransport::Config sc;
+    sc.rank = config.rank;
+    sc.world = config.world;
+    sc.dir = config.session_dir;
+    sc.tcp_base = config.tcp_base;
+    sc.connect_timeout = config.connect_timeout;
+    sc.heartbeat = config.heartbeat;
+    sc.peer_timeout = config.peer_timeout;
+    auto t = std::make_unique<SocketTransport>(sc, state->mailboxes,
+                                               state->control);
     transport = t.get();
     state->install_transport(std::move(t));
   }
@@ -100,7 +73,7 @@ struct DistSession {
 DistSession& dist_session() {
   // Meyers singleton: a bring-up failure propagates to the caller and is
   // retried on the next run() call. Destroyed during static destruction —
-  // the transport's teardown (Goodbye / finished flag, thread joins) is the
+  // the transport's teardown (Goodbye frames, thread joins) is the
   // clean end-of-process handshake peers wait on.
   static DistSession session;
   return session;
@@ -256,8 +229,6 @@ DistConfig dist_config_from_env() {
     config.session_dir = dir;
   }
   config.tcp_base = static_cast<int>(env_long("VPAR_TCP_BASE", 0));
-  config.shm_ring_bytes =
-      static_cast<std::size_t>(env_long("VPAR_SHM_RING", 256 * 1024));
   config.heartbeat =
       std::chrono::milliseconds(std::max(env_long("VPAR_HEARTBEAT_MS", 200), 1L));
   config.peer_timeout = std::chrono::milliseconds(
@@ -265,15 +236,10 @@ DistConfig dist_config_from_env() {
   config.connect_timeout = std::chrono::milliseconds(
       std::max(env_long("VPAR_CONNECT_TIMEOUT_MS", 10'000), 1L));
 
-  if (config.kind == TransportKind::Socket && config.tcp_base == 0 &&
-      config.session_dir.empty()) {
+  if (config.tcp_base == 0 && config.session_dir.empty()) {
     throw TransportError(
         "socket transport needs VPAR_SESSION_DIR (Unix endpoints) or "
         "VPAR_TCP_BASE (loopback TCP)");
-  }
-  if (config.kind == TransportKind::Shm && config.session_dir.empty()) {
-    throw TransportError(
-        "shm transport needs VPAR_SESSION_DIR (it names the segment)");
   }
   return config;
 }

@@ -13,23 +13,21 @@ namespace vpar::simrt {
 /// Everything one rank process needs to join a multi-process job, parsed
 /// from the environment the launcher (scripts/vpar_launch) exports:
 ///
-///   VPAR_TRANSPORT          shm | socket (inproc => not distributed)
+///   VPAR_TRANSPORT          socket (inproc => not distributed)
 ///   VPAR_RANK               this process's rank in [0, world)
 ///   VPAR_WORLD              team size
-///   VPAR_SESSION_DIR        per-job scratch dir (socket endpoints, shm name)
+///   VPAR_SESSION_DIR        per-job scratch dir (Unix socket endpoints)
 ///   VPAR_TCP_BASE           socket backend: loopback TCP instead of Unix
 ///                           sockets, rank i listening on base + i
-///   VPAR_SHM_RING           shm backend: per-direction ring bytes
 ///   VPAR_HEARTBEAT_MS       peer-failure detector beacon period
 ///   VPAR_PEER_TIMEOUT_MS    silence past this => PeerLost (0 disables)
-///   VPAR_CONNECT_TIMEOUT_MS mesh/segment bring-up bound
+///   VPAR_CONNECT_TIMEOUT_MS mesh bring-up bound
 struct DistConfig {
   TransportKind kind = TransportKind::Inproc;
   int rank = 0;
   int world = 1;
   std::string session_dir;
   int tcp_base = 0;
-  std::size_t shm_ring_bytes = 256 * 1024;
   std::chrono::milliseconds heartbeat{200};
   std::chrono::milliseconds peer_timeout{2'000};
   std::chrono::milliseconds connect_timeout{10'000};
@@ -38,11 +36,11 @@ struct DistConfig {
 /// Parse the distributed environment. kind == Inproc (with defaulted fields)
 /// when VPAR_TRANSPORT selects the in-process backend; throws TransportError
 /// on inconsistent settings (missing rank/world, rank out of range, no
-/// endpoint configuration for the socket backend).
+/// endpoint configuration).
 [[nodiscard]] DistConfig dist_config_from_env();
 
 /// True when this process was launched as one rank of a multi-process job
-/// (VPAR_TRANSPORT=shm|socket plus VPAR_RANK/VPAR_WORLD). Read once and
+/// (VPAR_TRANSPORT=socket plus VPAR_RANK/VPAR_WORLD). Read once and
 /// cached — the decision must not flip mid-process.
 [[nodiscard]] bool distributed_env_active();
 
@@ -57,10 +55,10 @@ struct DistConfig {
 [[nodiscard]] bool in_distributed_body();
 
 /// Run `body` as this process's rank of a `options.size`-rank multi-process
-/// job. The first call brings up the transport (socket mesh or shm segment,
-/// blocking until all ranks arrive); subsequent calls reuse the session, so
-/// a program of several run() calls pays bring-up once. Every rank process
-/// must make the same sequence of run() calls with the same sizes.
+/// job. The first call brings up the socket mesh (blocking until all ranks
+/// arrive); subsequent calls reuse the session, so a program of several
+/// run() calls pays bring-up once. Every rank process must make the same
+/// sequence of run() calls with the same sizes.
 ///
 /// Semantics relative to the in-process executor:
 ///  - the body runs on the calling thread (one rank per process);

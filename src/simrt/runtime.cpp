@@ -42,8 +42,8 @@ thread_local bool t_in_worker = false;
 /// Loop-service context of the rank body executing on this worker thread:
 /// set around the body in worker_loop so parallel_for can find the job's
 /// control block, the owning rank, and the Executor whose idle workers may
-/// help. Null on helpers, on run_spawned threads, and outside the runtime —
-/// parallel_for degrades to serial there.
+/// help. Null on helpers and outside the runtime — parallel_for degrades to
+/// serial there.
 thread_local Executor* t_loop_executor = nullptr;
 thread_local RuntimeState* t_loop_state = nullptr;
 thread_local int t_loop_rank = -1;
@@ -310,7 +310,7 @@ void record_rank_failure(RuntimeState& state, int rank,
 
 /// Flight-recorder dump for a failed job: extract the failure reason and
 /// write the post-mortem trace + metrics snapshot. Callers are quiesced —
-/// every rank thread has been joined or parked before the rethrow.
+/// every rank thread of the job has parked before the rethrow.
 void postmortem_for(const std::exception_ptr& error) {
   if (!trace::enabled()) return;
   try {
@@ -320,62 +320,6 @@ void postmortem_for(const std::exception_ptr& error) {
   } catch (...) {
     trace::write_postmortem("non-standard exception");
   }
-}
-
-/// Legacy spawn-per-run path, kept as the nested-run fallback; honours the
-/// same RunOptions (fault plan, checksums, watchdog) as the pooled path.
-RunResult run_spawned(const RunOptions& options,
-                      const std::function<void(Communicator&)>& body) {
-  const int size = options.size;
-  RuntimeState state(size);
-  state.control.configure(options);
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(size));
-  std::exception_ptr first_error;
-  std::mutex mutex;
-  std::condition_variable cv_done;
-  int remaining = size;
-
-  for (int rank = 0; rank < size; ++rank) {
-    threads.emplace_back([&, rank] {
-      {
-        trace::set_thread_label("rank", rank);
-        trace::set_thread_rank(rank);
-        trace::TraceSpan job_span("job", rank, size);
-        perf::ScopedRecorder scoped(state.recorders[static_cast<std::size_t>(rank)]);
-        Communicator comm(state, rank);
-        try {
-          body(comm);
-        } catch (...) {
-          record_rank_failure(state, rank, std::current_exception(), mutex,
-                              first_error);
-        }
-      }
-      trace::set_thread_rank(-1);
-      state.control.finish(rank);
-      {
-        std::lock_guard lock(mutex);
-        if (--remaining == 0) cv_done.notify_all();
-      }
-    });
-  }
-
-  {
-    std::unique_lock lock(mutex);
-    supervise_job(lock, cv_done, [&] { return remaining == 0; }, state, 0,
-                  first_error);
-  }
-  for (auto& t : threads) t.join();
-  if (first_error) {
-    if (state.control.postmortem()) postmortem_for(first_error);
-    std::rethrow_exception(first_error);
-  }
-
-  RunResult result;
-  result.per_rank = std::move(state.recorders);
-  for (const auto& r : result.per_rank) result.merged.merge(r);
-  return result;
 }
 
 }  // namespace
@@ -740,14 +684,20 @@ RunResult run(const RunOptions& options,
     throw std::runtime_error("simrt::run: size must be positive");
   }
   // Multi-process dispatch: when this process was launched as one rank of a
-  // VPAR_TRANSPORT=shm|socket job and the requested size matches the team,
+  // VPAR_TRANSPORT=socket job and the requested size matches the team,
   // the job runs distributed — this process executes its rank, peers run
   // theirs. Other sizes (nested helpers, local utility runs) stay in-process.
   if (!t_in_worker && !in_distributed_body() && distributed_env_active() &&
       options.size == distributed_world()) {
     return run_distributed(with_defaults(options), body);
   }
-  if (t_in_worker) return run_spawned(with_defaults(options), body);
+  if (t_in_worker) {
+    // A worker cannot borrow the pool it runs on: a nested job gets a
+    // private pool of exactly its own ranks, which has no idle helpers, so
+    // nested parallel_for calls stay serial.
+    Executor nested;
+    return nested.run(options, body);
+  }
   return Executor::shared().run(options, body);
 }
 

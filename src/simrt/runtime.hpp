@@ -122,8 +122,8 @@ class Executor {
 };
 
 /// Run `body` as an SPMD job on `size` ranks with a perf::Recorder installed
-/// on every rank. Dispatches to the shared pooled Executor; nested calls from
-/// inside a worker fall back to spawning dedicated threads (the pool cannot
+/// on every rank. Dispatches to the shared pooled Executor; a nested call from
+/// inside a worker runs on a scoped private Executor instead (the pool cannot
 /// host a job within a job). Exceptions thrown by any rank are rethrown
 /// (first one wins) after all ranks have finished.
 ///
@@ -133,8 +133,8 @@ class Executor {
 RunResult run(int size, const std::function<void(Communicator&)>& body);
 
 /// Options-carrying variant (fault injection, checksums, watchdog); see
-/// Executor::run(const RunOptions&, ...). The nested-run fallback honours
-/// the same options.
+/// Executor::run(const RunOptions&, ...). Nested runs honour the same
+/// options.
 RunResult run(const RunOptions& options,
               const std::function<void(Communicator&)>& body);
 

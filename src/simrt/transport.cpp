@@ -40,7 +40,6 @@ std::uint64_t frame_checksum(const FrameHeader& header,
 const char* to_string(TransportKind kind) {
   switch (kind) {
     case TransportKind::Inproc: return "inproc";
-    case TransportKind::Shm: return "shm";
     case TransportKind::Socket: return "socket";
   }
   return "unknown";
@@ -51,10 +50,9 @@ TransportKind transport_kind_from_env() {
   if (s == nullptr || *s == '\0') return TransportKind::Inproc;
   const std::string v(s);
   if (v == "inproc") return TransportKind::Inproc;
-  if (v == "shm") return TransportKind::Shm;
   if (v == "socket") return TransportKind::Socket;
   throw TransportError("VPAR_TRANSPORT=" + v +
-                       " is not a transport (inproc|shm|socket)");
+                       " is not a transport (inproc|socket)");
 }
 
 FrameHeader encode_frame(const Message& msg) {

@@ -15,20 +15,18 @@ namespace vpar::simrt {
 /// Which message-routing backend carries a job's traffic (VPAR_TRANSPORT).
 ///  - Inproc: the zero-copy in-process mailbox/arena path — every rank is a
 ///    pooled worker thread in one address space (the default, unchanged).
-///  - Shm: one process per rank on the same host; frames travel through
-///    per-pair SPSC rings in a POSIX shared-memory segment.
 ///  - Socket: one process per rank; frames travel over Unix-domain (or
 ///    loopback TCP) stream sockets with length-prefixed, checksummed framing.
-enum class TransportKind { Inproc, Shm, Socket };
+enum class TransportKind { Inproc, Socket };
 
 [[nodiscard]] const char* to_string(TransportKind kind);
 
 /// Backend selected by the VPAR_TRANSPORT environment variable
-/// ("inproc" | "shm" | "socket"); Inproc when unset. Throws on junk values —
+/// ("inproc" | "socket"); Inproc when unset. Throws on junk values —
 /// a typo must not silently fall back to single-process mode.
 [[nodiscard]] TransportKind transport_kind_from_env();
 
-/// Transport-layer failure (framing violation, connect failure, segment
+/// Transport-layer failure (framing violation, connect failure, world
 /// mismatch). Distinct from ChecksumError: that one means an *application
 /// payload* failed its end-to-end checksum; this one means the wire itself
 /// misbehaved.
@@ -39,7 +37,7 @@ class TransportError : public std::runtime_error {
 
 // --- wire framing -----------------------------------------------------------
 //
-// Both multi-process backends speak the same length-prefixed frame protocol
+// The multi-process backend speaks a length-prefixed frame protocol
 // (documented in docs/transport.md): a fixed 48-byte native-endian header
 // followed by the payload. The frame checksum is FNV-1a-64 over the header
 // (with the checksum field zeroed) and the payload, so both metadata and
@@ -101,10 +99,10 @@ void verify_frame(const FrameHeader& header, std::span<const std::byte> payload)
 
 /// Message-routing seam under the Communicator: every raw send goes through
 /// Transport::send, which delivers into the destination rank's Mailbox —
-/// directly for the in-process backend, over shared-memory rings or sockets
-/// for the multi-process ones. Receive-side matching, posted receives,
-/// checksum verification, watchdog registration and cooperative abort all
-/// stay in the Mailbox and are therefore identical across backends.
+/// directly for the in-process backend, over sockets for the multi-process
+/// one. Receive-side matching, posted receives, checksum verification,
+/// watchdog registration and cooperative abort all stay in the Mailbox and
+/// are therefore identical across backends.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -133,7 +131,7 @@ class Transport {
   [[nodiscard]] virtual std::exception_ptr failure() const { return nullptr; }
 
   /// Tell the transport this process's rank body failed: suppress the clean
-  /// Goodbye so peers observe the failure (EOF / stalled heartbeat) as
+  /// Goodbye so peers observe the failure (EOF without Goodbye) as
   /// PeerLost instead of mistaking it for a finished rank.
   virtual void note_local_failure() {}
 };

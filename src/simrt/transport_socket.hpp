@@ -14,9 +14,9 @@
 
 namespace vpar::simrt {
 
-/// Backend #3: one process per rank, full-mesh stream sockets over Unix
-/// domain sockets (default) or loopback TCP. Frames use the shared wire
-/// format of transport.hpp: length-prefixed, FNV-checksummed, carrying the
+/// Backend #2: one process per rank, full-mesh stream sockets over Unix
+/// domain sockets (default) or loopback TCP. Frames use the wire format of
+/// transport.hpp: length-prefixed, FNV-checksummed, carrying the
 /// application checksum and simtrace flow id across the process boundary.
 ///
 /// Mesh bring-up (deadlock-free by induction on rank): every rank first

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "simrt/runtime.hpp"
@@ -132,7 +133,7 @@ TEST(Executor, DisseminationBarrierPowerOfTwoTeam) { barrier_phase_test(16); }
 
 TEST(Executor, DisseminationBarrierNonPowerOfTwoTeam) { barrier_phase_test(12); }
 
-TEST(Executor, NestedRunFallsBackToSpawnedThreads) {
+TEST(Executor, NestedRunUsesAPrivateExecutor) {
   std::atomic<int> inner_total{0};
   run(2, [&](Communicator& comm) {
     if (comm.rank() == 0) {
@@ -140,6 +141,25 @@ TEST(Executor, NestedRunFallsBackToSpawnedThreads) {
     }
   });
   EXPECT_EQ(inner_total.load(), 1 + 2 + 3);
+}
+
+TEST(Executor, NestedRunFailureNamesTheInnerRank) {
+  std::atomic<int> caught_rank{-1};
+  run(2, [&](Communicator& comm) {
+    if (comm.rank() != 1) return;
+    try {
+      run(3, [](Communicator& inner) {
+        if (inner.rank() == 2) throw std::runtime_error("inner rank 2 broke");
+        inner.barrier();  // peers block here until the abort wakes them
+      });
+    } catch (const RankError& e) {
+      caught_rank = e.failed_rank();
+      EXPECT_NE(std::string(e.what()).find("inner rank 2 broke"),
+                std::string::npos)
+          << e.what();
+    }
+  });
+  EXPECT_EQ(caught_rank.load(), 2);
 }
 
 TEST(Executor, AlternatingSizesKeepStateConsistent) {

@@ -4,12 +4,13 @@
 // distributed environment set (VPAR_TRANSPORT/VPAR_RANK/VPAR_WORLD/...), so
 // every child is a real separate process exactly like a vpar_launch rank:
 //
-//  - equivalence: ring exchange, collectives and a small LBMHD run must be
-//    bitwise-identical between the in-process executor and the socket/shm
-//    backends (the determinism claim of docs/transport.md);
+//  - equivalence: ring exchange, collectives and small LBMHD and QCD runs
+//    must be bitwise-identical between the in-process executor and the
+//    socket backend (the determinism claim of docs/transport.md);
 //  - failure: killing one rank process mid-run surfaces as PeerLost at the
 //    survivors, and relaunching recovers from the last complete checkpoint
-//    to a final state bitwise-identical to the never-killed run;
+//    to a final state bitwise-identical to the never-killed run; a stopped
+//    (wedged) rank, whose sockets stay open, is caught by heartbeat silence;
 //  - chaos: a seeded benign fault plan (delays, reorder, stragglers) with
 //    checksums on behaves identically over the socket transport.
 
@@ -17,11 +18,16 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "lbmhd/simulation.hpp"
@@ -75,15 +81,32 @@ pid_t spawn_child(const std::string& mode, const std::vector<EnvVar>& extra) {
   return pid;
 }
 
-int wait_status(pid_t pid) {
-  int status = 0;
-  if (::waitpid(pid, &status, 0) != pid) return -1;
+int decode_status(int status) {
   if (WIFEXITED(status)) return WEXITSTATUS(status);
   if (WIFSIGNALED(status)) return 128 + WTERMSIG(status);
   return -1;
 }
 
-/// RAII per-test session directory (socket endpoints, shm name, artifacts).
+int wait_status(pid_t pid) {
+  int status = 0;
+  if (::waitpid(pid, &status, 0) != pid) return -1;
+  return decode_status(status);
+}
+
+/// As wait_status, but gives up at `deadline` and returns -1 with the child
+/// still running, so a missed failure detection fails a test instead of
+/// hanging it.
+int wait_status_until(pid_t pid, std::chrono::steady_clock::time_point deadline) {
+  for (;;) {
+    int status = 0;
+    const pid_t got = ::waitpid(pid, &status, WNOHANG);
+    if (got == pid) return decode_status(status);
+    if (got < 0 || std::chrono::steady_clock::now() >= deadline) return -1;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
+/// RAII per-test session directory (socket endpoints, artifacts).
 struct Session {
   std::string dir;
   Session() {
@@ -98,28 +121,46 @@ struct Session {
   }
 };
 
-std::vector<EnvVar> dist_env(const char* transport, int rank, int world,
-                             const std::string& session) {
-  return {{"VPAR_TRANSPORT", transport},
-          {"VPAR_RANK", std::to_string(rank)},
-          {"VPAR_WORLD", std::to_string(world)},
-          {"VPAR_SESSION_DIR", session},
-          {"VPAR_HEARTBEAT_MS", "100"},
-          {"VPAR_PEER_TIMEOUT_MS", "3000"}};
+/// The socket-backend environment of one rank, with `extra` replacing
+/// same-named defaults (getenv reads the first match, so an appended
+/// duplicate would be ignored).
+std::vector<EnvVar> dist_env(int rank, int world, const std::string& session,
+                             const std::vector<EnvVar>& extra) {
+  std::vector<EnvVar> env = {{"VPAR_TRANSPORT", "socket"},
+                             {"VPAR_RANK", std::to_string(rank)},
+                             {"VPAR_WORLD", std::to_string(world)},
+                             {"VPAR_SESSION_DIR", session},
+                             {"VPAR_HEARTBEAT_MS", "100"},
+                             {"VPAR_PEER_TIMEOUT_MS", "3000"}};
+  for (const auto& v : extra) {
+    auto same = std::find_if(env.begin(), env.end(),
+                             [&](const EnvVar& e) { return e.key == v.key; });
+    if (same != env.end()) {
+      same->value = v.value;
+    } else {
+      env.push_back(v);
+    }
+  }
+  return env;
 }
 
-/// Launch one rank process per rank, wait for all, return the exit codes.
-std::vector<int> launch_world(const char* transport, int world,
-                              const std::string& mode,
-                              const std::string& session,
-                              const std::vector<EnvVar>& extra = {}) {
+/// Start one rank process per rank of a socket job.
+std::vector<pid_t> spawn_world(int world, const std::string& mode,
+                               const std::string& session,
+                               const std::vector<EnvVar>& extra) {
   std::vector<pid_t> pids;
   pids.reserve(static_cast<std::size_t>(world));
   for (int r = 0; r < world; ++r) {
-    auto env = dist_env(transport, r, world, session);
-    env.insert(env.end(), extra.begin(), extra.end());
-    pids.push_back(spawn_child(mode, env));
+    pids.push_back(spawn_child(mode, dist_env(r, world, session, extra)));
   }
+  return pids;
+}
+
+/// Launch one rank process per rank, wait for all, return the exit codes.
+std::vector<int> launch_world(int world, const std::string& mode,
+                              const std::string& session,
+                              const std::vector<EnvVar>& extra = {}) {
+  const std::vector<pid_t> pids = spawn_world(world, mode, session, extra);
   std::vector<int> codes;
   codes.reserve(pids.size());
   for (const pid_t pid : pids) codes.push_back(wait_status(pid));
@@ -277,7 +318,11 @@ int child_qcd() {
   return 0;
 }
 
-int child_lbmhd_kill() {
+/// LBMHD with per-rank checkpoints. Rank VPAR_KILL_RANK dies at step
+/// VPAR_KILL_STEP: with `wedge` it stops itself (SIGSTOP), keeping its
+/// sockets open, otherwise it exits hard. A survivor that observes the loss
+/// writes the failure report to <session>/lost-rank<r>.txt and exits 42.
+int child_lbmhd_kill(bool wedge) {
   const int world = vpar::simrt::distributed_world();
   const int kill_rank = static_cast<int>(env_long_or("VPAR_KILL_RANK", -1));
   const int kill_step = static_cast<int>(env_long_or("VPAR_KILL_STEP", -1));
@@ -324,6 +369,7 @@ int child_lbmhd_kill() {
       }
       for (int s = start; s < kTotalSteps; ++s) {
         if (restart == 0 && comm.rank() == kill_rank && s == kill_step) {
+          if (wedge) ::raise(SIGSTOP);  // alive to the kernel, silent to peers
           _exit(137);  // simulated hard death: no Goodbye, no destructors
         }
         sim.step();
@@ -341,9 +387,10 @@ int child_lbmhd_kill() {
       }
       if (comm.rank() == 0) write_doubles(dir + "/final.bin", out);
     });
-  } catch (const vpar::simrt::PeerLost&) {
-    return 42;
-  } catch (const vpar::simrt::JobAborted&) {
+  } catch (const vpar::simrt::JobAborted& e) {  // PeerLost is one
+    std::ofstream(dir + "/lost-rank" +
+                  std::to_string(vpar::simrt::distributed_rank()) + ".txt")
+        << e.what();
     return 42;
   } catch (const TransportError&) {
     return 42;  // send into a lost peer races the cooperative abort
@@ -371,7 +418,8 @@ int vpar_child_main(const std::string& mode) {
     if (mode == "ring") return child_ring();
     if (mode == "lbmhd") return child_lbmhd();
     if (mode == "qcd") return child_qcd();
-    if (mode == "lbmhd_kill") return child_lbmhd_kill();
+    if (mode == "lbmhd_kill") return child_lbmhd_kill(false);
+    if (mode == "lbmhd_wedge") return child_lbmhd_kill(true);
     if (mode == "chaos") return child_chaos();
     std::fprintf(stderr, "unknown --vpar-child mode '%s'\n", mode.c_str());
     return 4;
@@ -484,13 +532,17 @@ TEST(TransportEnv, KindParsing) {
     ScopedEnv t("VPAR_TRANSPORT", "socket");
     EXPECT_EQ(vpar::simrt::transport_kind_from_env(), TransportKind::Socket);
   }
-  {
-    ScopedEnv t("VPAR_TRANSPORT", "shm");
-    EXPECT_EQ(vpar::simrt::transport_kind_from_env(), TransportKind::Shm);
-  }
-  {
-    ScopedEnv t("VPAR_TRANSPORT", "carrier-pigeon");
-    EXPECT_THROW((void)vpar::simrt::transport_kind_from_env(), TransportError);
+  for (const char* junk : {"shm", "carrier-pigeon"}) {
+    // The removed shared-memory backend is junk too: a leftover setting
+    // must fail loudly, not run single-process.
+    ScopedEnv t("VPAR_TRANSPORT", junk);
+    try {
+      (void)vpar::simrt::transport_kind_from_env();
+      ADD_FAILURE() << "VPAR_TRANSPORT=" << junk << " was accepted";
+    } catch (const TransportError& e) {
+      EXPECT_NE(std::string(e.what()).find("inproc|socket"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -520,17 +572,16 @@ TEST(TransportEnv, DistConfigValidation) {
     EXPECT_THROW(vpar::simrt::dist_config_from_env(), TransportError);
   }
   {
-    ScopedEnv t("VPAR_TRANSPORT", "shm");
+    ScopedEnv t("VPAR_TRANSPORT", "socket");
     ScopedEnv r("VPAR_RANK", "1");
     ScopedEnv w("VPAR_WORLD", "4");
     ScopedEnv d("VPAR_SESSION_DIR", "/tmp/somewhere");
-    ScopedEnv ring("VPAR_SHM_RING", "65536");
     ScopedEnv hb("VPAR_HEARTBEAT_MS", "50");
     const auto config = vpar::simrt::dist_config_from_env();
-    EXPECT_EQ(config.kind, TransportKind::Shm);
+    EXPECT_EQ(config.kind, TransportKind::Socket);
     EXPECT_EQ(config.rank, 1);
     EXPECT_EQ(config.world, 4);
-    EXPECT_EQ(config.shm_ring_bytes, 65536u);
+    EXPECT_EQ(config.session_dir, "/tmp/somewhere");
     EXPECT_EQ(config.heartbeat.count(), 50);
   }
 }
@@ -539,47 +590,35 @@ TEST(TransportEnv, DistConfigValidation) {
 
 TEST(SocketTransport, TwoRankRingAndCollectives) {
   Session session;
-  const auto codes = launch_world("socket", 2, "ring", session.dir);
+  const auto codes = launch_world(2, "ring", session.dir);
   EXPECT_EQ(codes, (std::vector<int>{0, 0}));
 }
 
 TEST(SocketTransport, FourRankRingAndCollectives) {
   Session session;
-  const auto codes = launch_world("socket", 4, "ring", session.dir);
+  const auto codes = launch_world(4, "ring", session.dir);
   EXPECT_EQ(codes, (std::vector<int>{0, 0, 0, 0}));
 }
 
 TEST(SocketTransport, TcpLoopbackRing) {
   Session session;
-  const auto codes = launch_world("socket", 2, "ring", session.dir,
+  const auto codes = launch_world(2, "ring", session.dir,
                                   {{"VPAR_TCP_BASE", "47310"}});
   EXPECT_EQ(codes, (std::vector<int>{0, 0}));
 }
 
-TEST(ShmTransport, FourRankRingAndCollectives) {
+TEST(SocketTransport, LbmhdBitwiseMatchesInproc) {
   Session session;
-  const auto codes = launch_world("shm", 4, "ring", session.dir);
-  EXPECT_EQ(codes, (std::vector<int>{0, 0, 0, 0}));
-}
-
-/// In-process reference for the LBMHD equivalence runs.
-std::vector<double> lbmhd_inproc_reference() {
+  const std::string out = session.dir + "/fields.bin";
+  const auto codes =
+      launch_world(4, "lbmhd", session.dir, {{"VPAR_TEST_OUT", out}});
+  ASSERT_EQ(codes, (std::vector<int>{0, 0, 0, 0}));
+  const auto distributed = read_doubles(out);
   std::vector<double> reference;
   vpar::simrt::run(4, [&](Communicator& comm) {
     const auto fields = lbmhd_final_fields(comm, kLbmhdSteps);
     if (comm.rank() == 0) reference = fields;
   });
-  return reference;
-}
-
-void expect_lbmhd_equivalence(const char* transport) {
-  Session session;
-  const std::string out = session.dir + "/fields.bin";
-  const auto codes = launch_world(transport, 4, "lbmhd", session.dir,
-                                  {{"VPAR_TEST_OUT", out}});
-  ASSERT_EQ(codes, (std::vector<int>{0, 0, 0, 0}));
-  const auto distributed = read_doubles(out);
-  const auto reference = lbmhd_inproc_reference();
   ASSERT_FALSE(reference.empty());
   ASSERT_EQ(distributed.size(), reference.size());
   // Bitwise, not approximately: the transport must not change one bit of
@@ -589,32 +628,18 @@ void expect_lbmhd_equivalence(const char* transport) {
             0);
 }
 
-TEST(SocketTransport, LbmhdBitwiseMatchesInproc) {
-  expect_lbmhd_equivalence("socket");
-}
-
-TEST(ShmTransport, LbmhdBitwiseMatchesInproc) {
-  expect_lbmhd_equivalence("shm");
-}
-
-/// In-process reference for the QCD equivalence runs.
-std::vector<double> qcd_inproc_reference() {
+TEST(SocketTransport, QcdBitwiseMatchesInproc) {
+  Session session;
+  const std::string out = session.dir + "/psi.bin";
+  const auto codes =
+      launch_world(4, "qcd", session.dir, {{"VPAR_TEST_OUT", out}});
+  ASSERT_EQ(codes, (std::vector<int>{0, 0, 0, 0}));
+  const auto distributed = read_doubles(out);
   std::vector<double> reference;
   vpar::simrt::run(4, [&](Communicator& comm) {
     const auto psi = qcd_final_psi(comm, kQcdSteps);
     if (comm.rank() == 0) reference = psi;
   });
-  return reference;
-}
-
-void expect_qcd_equivalence(const char* transport) {
-  Session session;
-  const std::string out = session.dir + "/psi.bin";
-  const auto codes = launch_world(transport, 4, "qcd", session.dir,
-                                  {{"VPAR_TEST_OUT", out}});
-  ASSERT_EQ(codes, (std::vector<int>{0, 0, 0, 0}));
-  const auto distributed = read_doubles(out);
-  const auto reference = qcd_inproc_reference();
   ASSERT_FALSE(reference.empty());
   ASSERT_EQ(distributed.size(), reference.size());
   EXPECT_EQ(std::memcmp(distributed.data(), reference.data(),
@@ -622,28 +647,20 @@ void expect_qcd_equivalence(const char* transport) {
             0);
 }
 
-TEST(SocketTransport, QcdBitwiseMatchesInproc) {
-  expect_qcd_equivalence("socket");
-}
-
-TEST(ShmTransport, QcdBitwiseMatchesInproc) {
-  expect_qcd_equivalence("shm");
-}
-
 TEST(SocketTransport, SeededChaosSmoke) {
   Session session;
-  const auto codes = launch_world("socket", 4, "chaos", session.dir,
+  const auto codes = launch_world(4, "chaos", session.dir,
                                   {{"VPAR_TEST_SEED", "20260808"}});
   EXPECT_EQ(codes, (std::vector<int>{0, 0, 0, 0}));
 }
 
 // --- failure detection and elastic restart ----------------------------------
 
-void expect_kill_recovery(const char* transport) {
+TEST(SocketTransport, KilledRankRecoversViaCheckpointRestart) {
   // Reference: the same checkpointing program, never killed.
   Session clean;
   {
-    const auto codes = launch_world(transport, 4, "lbmhd_kill", clean.dir);
+    const auto codes = launch_world(4, "lbmhd_kill", clean.dir);
     ASSERT_EQ(codes, (std::vector<int>{0, 0, 0, 0}));
   }
   const auto reference = read_doubles(clean.dir + "/final.bin");
@@ -654,7 +671,7 @@ void expect_kill_recovery(const char* transport) {
   Session session;
   const std::vector<EnvVar> kill = {{"VPAR_KILL_RANK", "2"},
                                     {"VPAR_KILL_STEP", "6"}};
-  const auto first = launch_world(transport, 4, "lbmhd_kill", session.dir, kill);
+  const auto first = launch_world(4, "lbmhd_kill", session.dir, kill);
   ASSERT_EQ(first.size(), 4u);
   EXPECT_EQ(first[2], 137);
   for (const int r : {0, 1, 3}) {
@@ -664,7 +681,7 @@ void expect_kill_recovery(const char* transport) {
 
   // Attempt 1 (the launcher's restart): every rank restores the latest
   // complete checkpoint and reruns to completion.
-  const auto second = launch_world(transport, 4, "lbmhd_kill", session.dir,
+  const auto second = launch_world(4, "lbmhd_kill", session.dir,
                                    {{"VPAR_RESTART", "1"}});
   ASSERT_EQ(second, (std::vector<int>{0, 0, 0, 0}));
   for (int r = 0; r < 4; ++r) {
@@ -680,24 +697,39 @@ void expect_kill_recovery(const char* transport) {
       << "checkpoint-restart final state differs from the clean run";
 }
 
-TEST(SocketTransport, KilledRankRecoversViaCheckpointRestart) {
-  expect_kill_recovery("socket");
-}
-
-TEST(ShmTransport, KilledRankIsDetectedByHeartbeatStall) {
-  // Shm has no connection to break: a killed rank is detected by its
-  // heartbeat counter stalling past the peer timeout (shortened here).
+TEST(SocketTransport, WedgedRankIsDetectedByHeartbeatSilence) {
+  // A stopped rank process keeps its sockets open, so its peers never see
+  // EOF: only the heartbeat-silence check (timeout shortened here) can
+  // declare it lost.
   Session session;
-  const std::vector<EnvVar> kill = {{"VPAR_KILL_RANK", "1"},
-                                    {"VPAR_KILL_STEP", "6"},
-                                    {"VPAR_PEER_TIMEOUT_MS", "800"}};
-  const auto codes = launch_world("shm", 4, "lbmhd_kill", session.dir, kill);
-  ASSERT_EQ(codes.size(), 4u);
-  EXPECT_EQ(codes[1], 137);
+  const auto pids = spawn_world(4, "lbmhd_wedge", session.dir,
+                                {{"VPAR_KILL_RANK", "1"},
+                                 {"VPAR_KILL_STEP", "6"},
+                                 {"VPAR_PEER_TIMEOUT_MS", "800"}});
+  // Detection takes about the 800 ms timeout; the bound only turns a missed
+  // detection into a failure instead of a hang.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::vector<int> codes(pids.size(), -1);
+  for (const int r : {0, 2, 3}) {
+    codes[static_cast<std::size_t>(r)] =
+        wait_status_until(pids[static_cast<std::size_t>(r)], deadline);
+  }
+  for (std::size_t r = 0; r < pids.size(); ++r) {
+    if (codes[r] != -1) continue;  // reaped already: the pid is not ours
+    ::kill(pids[r], SIGKILL);
+    codes[r] = wait_status(pids[r]);
+  }
+  // Rank 1 was still stopped (alive) until the SIGKILL above.
+  EXPECT_EQ(codes[1], 128 + SIGKILL);
+  std::string reports;
   for (const int r : {0, 2, 3}) {
     EXPECT_EQ(codes[static_cast<std::size_t>(r)], 42)
-        << "rank " << r << " did not observe the stalled heartbeat";
+        << "rank " << r << " did not observe PeerLost in time";
+    std::ifstream in(session.dir + "/lost-rank" + std::to_string(r) + ".txt");
+    reports += std::string(std::istreambuf_iterator<char>(in), {}) + "\n";
   }
+  EXPECT_NE(reports.find("no heartbeat"), std::string::npos) << reports;
 }
 
 }  // namespace
