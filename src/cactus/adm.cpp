@@ -162,6 +162,17 @@ inline void rhs_span(const FieldPointers& f, std::ptrdiff_t s0,
   }
 }
 
+/// One simd.* record for `rows` rows of `width` points, cut into chunks the
+/// way rhs_span cuts them: the chunk kernel records nothing (see
+/// simd::record_span).
+void record_rhs_spans(std::size_t rows, std::size_t width) {
+  if (!simd::use_simd()) return;
+  const std::size_t w = simd::active_width();
+  const std::size_t full = width / kRowChunk, tail = width % kRowChunk;
+  if (full != 0) simd::record_spans(w, rows * full, kRowChunk / w, kRowChunk % w);
+  if (tail != 0) simd::record_spans(w, rows, tail / w, tail % w);
+}
+
 }  // namespace
 
 double rhs_flops_per_point() {
@@ -205,6 +216,7 @@ void compute_rhs(const GridFunctions& state, GridFunctions& rhs, double h,
         }
       }
     });
+    record_rhs_spans((j1 - j0) * (k1 - k0), iw);
   } else {
     for (std::size_t ib = i0; ib < i1; ib += block) {
       const std::size_t ie = std::min(ib + block, i1);
@@ -218,6 +230,7 @@ void compute_rhs(const GridFunctions& state, GridFunctions& rhs, double h,
           }
         }
       });
+      record_rhs_spans((j1 - j0) * (k1 - k0), ie - ib);
     }
   }
 

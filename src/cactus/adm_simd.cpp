@@ -178,7 +178,6 @@ void rhs_chunk_simd(const AdmFieldPointers& f, std::ptrdiff_t s0,
 #endif
     default: rhs_chunk_span_w<1>(f, s0, s1, s2, base, n, inv_12h2, inv_144h2); break;
   }
-  simd::record_span(w, n / w, n % w);
 }
 
 }  // namespace vpar::cactus::detail

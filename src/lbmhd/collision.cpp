@@ -173,6 +173,14 @@ inline void collide_span(const PlanePointers& p, std::size_t offset,
               omega_g);
 }
 
+/// One simd.* record for a sweep of `rows` rows of `n` points each: the row
+/// kernel records nothing (see simd::record_span).
+void record_collide_spans(std::size_t rows, std::size_t n) {
+  if (!simd::use_simd()) return;
+  const std::size_t w = simd::active_width();
+  simd::record_spans(w, rows, n / w, n % w);
+}
+
 }  // namespace
 
 double collision_flops_per_point() {
@@ -196,6 +204,7 @@ void collide_flat(FieldSet& fields, const CollisionParams& params) {
       collide_span(p, row, nxl, params.omega_f, params.omega_g);
     }
   });
+  record_collide_spans(nyl, nxl);
   perf::LoopRecord rec;
   rec.vectorizable = true;
   rec.instances = static_cast<double>(nyl);
@@ -219,6 +228,7 @@ void collide_blocked(FieldSet& fields, const CollisionParams& params,
         collide_span(p, row + i0, i1 - i0, params.omega_f, params.omega_g);
       }
     });
+    record_collide_spans(nyl, i1 - i0);
   }
   perf::LoopRecord rec;
   rec.vectorizable = true;

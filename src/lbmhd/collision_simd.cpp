@@ -192,7 +192,6 @@ void collide_row_simd(const RowPointers& p, std::size_t n, double omega_f,
 #endif
     default: collide_span_w<1>(p, n, omega_f, omega_g); break;
   }
-  simd::record_span(w, n / w, n % w);
 }
 
 }  // namespace vpar::lbmhd::detail

@@ -2,6 +2,8 @@
 
 #include <cstddef>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "part/partition.hpp"
@@ -16,7 +18,8 @@ namespace vpar::part {
 /// use. A schedule consumes tags [base_tag, base_tag + 2N): data moving in
 /// the + direction along axis a rides tag base_tag + 2a, the - direction
 /// base_tag + 2a + 1, so opposite-direction traffic between the same pair of
-/// ranks (or a rank and itself on a periodic 1-wide axis) never cross-matches.
+/// ranks never cross-matches (and a rank that is its own neighbor finds the
+/// ghost box of each face it copies by the same tag).
 template <std::size_t N>
 struct HaloSpec {
   Extent<N> width{};
@@ -105,6 +108,10 @@ struct HaloSchedule {
 /// (neighbor() == -1). A send in the + direction pairs with the peer's
 /// - ghost receive under the same tag, so schedules of neighboring ranks
 /// always pair up message-for-message.
+///
+/// Throws std::invalid_argument when a ghost width exceeds the local extent
+/// on an axis that has a neighbor: that face would include ghosts of the
+/// same axis, which are not exchanged yet.
 template <std::size_t N>
 [[nodiscard]] HaloSchedule<N> plan_halo(const BlockPartition<N>& partition,
                                         int rank, const HaloSpec<N>& spec) {
@@ -133,6 +140,11 @@ template <std::size_t N>
     const int plus = partition.neighbor(rank, axis, +1);
     const int minus = partition.neighbor(rank, axis, -1);
     const auto na = static_cast<std::ptrdiff_t>(n[axis]);
+    if ((plus >= 0 || minus >= 0) && g > na) {
+      throw std::invalid_argument(
+          "plan_halo: ghost width exceeds the local extent on axis " +
+          std::to_string(axis) + " of rank " + std::to_string(rank));
+    }
     const int tag_plus = spec.base_tag + 2 * static_cast<int>(axis);
     const int tag_minus = tag_plus + 1;
 
@@ -217,12 +229,33 @@ void unpack_box(const TileLayout<N>& layout, const Box<N>& box,
   }
 }
 
+/// Copy box `from` onto the equally-shaped box `to` within every plane: a
+/// self-peer face moved straight into its ghost box. The boxes are disjoint
+/// because plan_halo rejects ghost widths above the local extent.
+template <std::size_t N>
+void copy_box(const TileLayout<N>& layout, const Box<N>& from, const Box<N>& to,
+              std::span<double* const> planes) {
+  const auto shift = static_cast<std::ptrdiff_t>(layout.offset(to.lo)) -
+                     static_cast<std::ptrdiff_t>(layout.offset(from.lo));
+  for (double* plane : planes) {
+    for_each_row<N>(from, [&](const Index<N>& row, std::size_t len) {
+      const double* src = plane + layout.offset(row);
+      double* dst = plane + layout.offset(row) + shift;
+      for (std::size_t i = 0; i < len; ++i) dst[i] = src[i];
+    });
+  }
+}
+
 }  // namespace detail
 
 /// Execute a planned halo exchange for a set of equally-shaped planes.
 /// Per phase: the receives are posted, every send is packed plane-major /
 /// row-major and handed off by move, and the phase completes inside one
 /// perf::OverlapScope so the network model costs the traffic as overlapped.
+/// A self-peer face (peer == comm.rank(): a periodic axis the rank grid does
+/// not split) is no message: it is copied straight into the ghost box of the
+/// receive with the same tag, so comm.* and the comm profile see only
+/// cross-rank faces, while part.halo_bytes counts every face.
 /// The phase barrier between axes is the data dependence that carries corner
 /// values; there is no other synchronization.
 template <std::size_t N>
@@ -230,6 +263,7 @@ void exchange_halo(simrt::Communicator& comm, const HaloSchedule<N>& schedule,
                    const TileLayout<N>& layout,
                    std::span<double* const> planes) {
   detail::note_exchange();
+  const int self = comm.rank();
   for (const auto& phase : schedule.phases) {
     trace::TraceSpan span("part.exchange",
                           static_cast<std::int64_t>(phase.axis));
@@ -239,18 +273,28 @@ void exchange_halo(simrt::Communicator& comm, const HaloSchedule<N>& schedule,
     pending.reserve(phase.recvs.size());
     for (std::size_t i = 0; i < phase.recvs.size(); ++i) {
       const auto& r = phase.recvs[i];
+      if (r.peer == self) continue;
       inbox[i].resize(planes.size() * r.box.volume());
       pending.push_back(
           comm.irecv(r.peer, std::span<double>(inbox[i]), r.tag));
     }
     for (const auto& s : phase.sends) {
+      detail::note_message(planes.size() * s.box.volume() * sizeof(double));
+      if (s.peer == self) {
+        for (const auto& r : phase.recvs) {
+          if (r.peer == self && r.tag == s.tag) {
+            detail::copy_box(layout, s.box, r.box, planes);
+          }
+        }
+        continue;
+      }
       std::vector<double> buf(planes.size() * s.box.volume());
       detail::pack_box(layout, s.box, planes, buf.data());
-      detail::note_message(buf.size() * sizeof(double));
       comm.isend(s.peer, std::move(buf), s.tag).wait();
     }
     simrt::waitall(pending);
     for (std::size_t i = 0; i < phase.recvs.size(); ++i) {
+      if (phase.recvs[i].peer == self) continue;
       detail::unpack_box(layout, phase.recvs[i].box, planes, inbox[i].data());
     }
   }

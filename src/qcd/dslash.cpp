@@ -71,6 +71,12 @@ void apply_dslash(std::array<double*, kPlanes> out,
     }
   });
 
+  // One record for the whole sweep: every row is nxh sites wide.
+  if (simd_path) {
+    const std::size_t w = simd::active_width();
+    simd::record_spans(w, rows, nxh / w, nxh % w);
+  }
+
   perf::LoopRecord rec;
   rec.vectorizable = true;
   rec.instances = static_cast<double>(rows);

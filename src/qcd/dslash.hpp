@@ -33,8 +33,8 @@ struct RowPointers {
 void dslash_row(const RowPointers& p, std::size_t n);
 
 /// Runtime-dispatched SIMD row kernel: bitwise identical to dslash_row at
-/// every width (shared expression tree, -ffp-contract=off). Records the
-/// span with the simd.* metrics.
+/// every width (shared expression tree, -ffp-contract=off). Records no
+/// simd.* metrics: apply_dslash records the whole sweep once.
 void dslash_row_simd(const RowPointers& p, std::size_t n);
 
 }  // namespace detail
@@ -43,7 +43,8 @@ void dslash_row_simd(const RowPointers& p, std::size_t n);
 /// opposite parity), whose ghosts must be current. Rows are served through
 /// simrt::parallel_for (rows write disjoint output rows, so hybrid helpers
 /// are bitwise-safe); within a row the kernel dispatches scalar or SIMD.
-/// Records the "dslash" kernel loop with perf and bumps qcd.* meters.
+/// Records the "dslash" kernel loop with perf, the sweep's simd.* spans once
+/// per call, and bumps qcd.* meters.
 void apply_dslash(std::array<double*, kPlanes> out,
                   std::array<const double*, kPlanes> src, const HalfGeom& geom,
                   int target_parity);

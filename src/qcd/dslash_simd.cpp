@@ -34,7 +34,6 @@ void dslash_row_simd(const RowPointers& p, std::size_t n) {
 #endif
     default: dslash_span_w<1>(p, n); break;
   }
-  simd::record_span(w, n / w, n % w);
 }
 
 }  // namespace vpar::qcd::detail

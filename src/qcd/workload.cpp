@@ -9,23 +9,22 @@ namespace vpar::qcd {
 
 namespace {
 
-/// Rank 0's half-lattice extents under the grid resolve_dims would build.
-/// Rank 0 holds the front-loaded (largest) blocks, which is also the
-/// critical-path rank the AppProfile convention wants.
-part::Extent<4> rank0_half_extent(const ScalingConfig& c) {
+/// The half-lattice partition resolve_dims would build. Rank 0 holds the
+/// front-loaded (largest) blocks, which is also the critical-path rank the
+/// AppProfile convention wants.
+part::BlockPartition<4> half_partition(const ScalingConfig& c) {
   Options opt;
   opt.nx = c.nx;
   opt.ny = c.ny;
   opt.nz = c.nz;
   opt.nt = c.nt;
   const auto dims = Simulation::resolve_dims(opt, c.procs);
-  const part::BlockPartition<4> half(
-      part::Extent<4>{{c.nx / 2, c.ny, c.nz, c.nt}}, dims,
-      {true, true, true, true});
+  part::BlockPartition<4> half(part::Extent<4>{{c.nx / 2, c.ny, c.nz, c.nt}},
+                               dims, {true, true, true, true});
   if (half.size() != c.procs) {
     throw std::runtime_error("qcd::make_profile: dims product != procs");
   }
-  return half.local_extent(0);
+  return half;
 }
 
 }  // namespace
@@ -37,7 +36,7 @@ double baseline_flops(const ScalingConfig& c) {
 }
 
 std::array<double, 4> halo_bytes_per_exchange(const ScalingConfig& c) {
-  const part::Extent<4> n = rank0_half_extent(c);
+  const part::Extent<4> n = half_partition(c).local_extent(0);
   const double nxh = static_cast<double>(n[0]);
   const double nyl = static_cast<double>(n[1]);
   const double nzl = static_cast<double>(n[2]);
@@ -61,7 +60,8 @@ arch::AppProfile make_profile(const ScalingConfig& c) {
   if (c.threads_per_rank < 1) {
     throw std::runtime_error("qcd::make_profile: threads_per_rank < 1");
   }
-  const part::Extent<4> n = rank0_half_extent(c);
+  const part::BlockPartition<4> half = half_partition(c);
+  const part::Extent<4> n = half.local_extent(0);
   const double nxh = static_cast<double>(n[0]);
   const double rows = static_cast<double>(n[1] * n[2] * n[3]);
   const double steps = c.steps;
@@ -85,13 +85,18 @@ arch::AppProfile make_profile(const ScalingConfig& c) {
   }
 
   // --- halo traffic (exchange_halo posts receives before packing, so every
-  // phase is one overlap window; 2 sends per axis, 4 axes, 2 exchanges per
-  // step on the all-periodic torus) ----------------------------------------
+  // phase is one overlap window; 4 axes, 2 exchanges per step on the
+  // all-periodic torus). Only an axis the rank grid splits sends its 2
+  // faces as messages: on the others a rank is its own neighbor and copies
+  // the faces in place, as it would on a real machine -------------------
   const std::array<double, 4> per_axis = halo_bytes_per_exchange(c);
-  double exchange_bytes = 0.0;
-  for (double b : per_axis) exchange_bytes += b;
-  app.comm.record_overlapped(perf::CommKind::PointToPoint, 16.0 * steps,
-                             2.0 * exchange_bytes * steps);
+  double messages = 0.0, bytes = 0.0;
+  for (std::size_t a = 0; a < 4; ++a) {
+    if (half.grid().dims[a] == 1) continue;
+    messages += 2.0 * 2.0 * steps;
+    bytes += 2.0 * per_axis[a] * steps;
+  }
+  app.comm.record_overlapped(perf::CommKind::PointToPoint, messages, bytes);
   app.comm.record_overlap_window(8.0 * steps);
 
   // --- the per-step norm allreduce (normalize on) -------------------------

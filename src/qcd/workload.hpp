@@ -14,9 +14,11 @@ struct ScalingConfig {
   int threads_per_rank = 1;  ///< hybrid helpers per rank
 };
 
-/// Per-axis halo bytes one rank sends per exchange (both directions, all
+/// Per-axis halo bytes one rank moves per exchange (both directions, all
 /// kPlanes planes), evaluated on the even/odd half lattice the way
-/// part::plan_halo grows the phase boxes axis by axis.
+/// part::plan_halo grows the phase boxes axis by axis. Counts the faces a
+/// rank copies to itself on axes the rank grid does not split too;
+/// make_profile costs only the split axes as messages.
 [[nodiscard]] std::array<double, 4> halo_bytes_per_exchange(
     const ScalingConfig& config);
 

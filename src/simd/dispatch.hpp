@@ -40,13 +40,20 @@ void set_dispatch_mode(DispatchMode mode) noexcept;
 ///   simd.lanes_active    histogram: `width` observed vector_iters times,
 ///                        `remainder` observed once (the partial iteration),
 /// so sum/count of the histogram is the achieved average vector length.
+///
+/// Every call is 4 relaxed atomic adds on process-wide counters that all
+/// rank threads share, so the adds contend. Never call it per row: the code
+/// that sweeps a row kernel records the whole sweep with one record_spans
+/// per call (or per parallel_for chunk).
 void record_span(std::size_t width, std::size_t vector_iters,
                  std::size_t remainder) noexcept;
 
-/// record_span for `spans` equally-shaped spans in one call (e.g. the blocks
-/// of one FFT stage, which all share the same trip count): each span ran
-/// `vector_iters_per_span` full-width iterations plus one partial iteration
-/// of `remainder` active lanes (0 = no partial iteration).
+/// record_span for `spans` equally-shaped spans in one call (the rows of one
+/// Dslash sweep, the blocks of one FFT stage, which all share the same trip
+/// count): each span ran `vector_iters_per_span` full-width iterations plus
+/// one partial iteration of `remainder` active lanes (0 = no partial
+/// iteration). Same 4 shared atomic adds as one record_span, whatever
+/// `spans` is.
 void record_spans(std::size_t width, std::size_t spans,
                   std::size_t vector_iters_per_span,
                   std::size_t remainder) noexcept;

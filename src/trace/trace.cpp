@@ -1,5 +1,7 @@
 #include "trace/trace.hpp"
 
+#include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -37,20 +39,33 @@ std::uint64_t now_ns() {
 
 namespace {
 
+constexpr std::size_t kDefaultRingEvents = 8192;
+
 std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
   return p;
 }
 
-std::size_t default_capacity() {
-  const char* s = std::getenv("VPAR_TRACE_EVENTS");
-  const long n = (s != nullptr) ? std::strtol(s, nullptr, 10) : 0;
-  return round_up_pow2(n > 0 ? static_cast<std::size_t>(n) : 8192);
+void warn_capacity(const std::string& request, const char* problem,
+                   std::size_t used) {
+  std::fprintf(stderr, "vpar trace: %s %s; using %zu events per thread\n",
+               request.c_str(), problem, used);
+}
+
+/// `events` clamped to [1, kMaxRingEvents] and rounded up to a power of two;
+/// `request` names the value in the warning a clamp prints.
+std::size_t clamp_capacity(std::size_t events, const std::string& request) {
+  if (events > kMaxRingEvents) {
+    warn_capacity(request, "is above the maximum", kMaxRingEvents);
+    return kMaxRingEvents;
+  }
+  return round_up_pow2(events > 0 ? events : 1);
 }
 
 /// Capacity applied to rings created from now on (power of two).
-std::atomic<std::size_t> g_capacity{default_capacity()};
+std::atomic<std::size_t> g_capacity{
+    detail::ring_capacity_from_env(std::getenv("VPAR_TRACE_EVENTS"))};
 
 /// One thread's event sink. Single-writer (the owning thread); the head
 /// counter is the only cross-thread synchronization: the writer publishes a
@@ -257,8 +272,25 @@ void clear_all() {
 }
 
 void set_ring_capacity(std::size_t events) {
-  g_capacity.store(round_up_pow2(events > 0 ? events : 1),
-                   std::memory_order_relaxed);
+  g_capacity.store(
+      clamp_capacity(events, "set_ring_capacity(" + std::to_string(events) + ")"),
+      std::memory_order_relaxed);
+}
+
+std::size_t ring_capacity() { return g_capacity.load(std::memory_order_relaxed); }
+
+std::size_t detail::ring_capacity_from_env(const char* s) {
+  if (s == nullptr || *s == '\0') return kDefaultRingEvents;
+  const std::string request = std::string("VPAR_TRACE_EVENTS=") + s;
+  char* end = nullptr;
+  // strtoull saturates at ULLONG_MAX on overflow, which then clamps.
+  const unsigned long long n = std::strtoull(s, &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(*s)) == 0 || *end != '\0') {
+    warn_capacity(request, "is not a number", kDefaultRingEvents);
+    return kDefaultRingEvents;
+  }
+  if (n == 0) return kDefaultRingEvents;
+  return clamp_capacity(n, request);
 }
 
 }  // namespace vpar::trace

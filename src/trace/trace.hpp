@@ -147,8 +147,23 @@ struct ThreadTrace {
 /// Drop all recorded events (test isolation). Same quiescence contract.
 void clear_all();
 
+/// Largest ring capacity: 2^20 events per thread (56 MiB per thread at 56
+/// bytes per event). VPAR_TRACE_EVENTS and set_ring_capacity clamp to it.
+inline constexpr std::size_t kMaxRingEvents = std::size_t{1} << 20;
+
 /// Ring capacity (events per thread) for rings created after this call.
-/// Defaults to VPAR_TRACE_EVENTS or 8192; rounded up to a power of two.
+/// Defaults to VPAR_TRACE_EVENTS or 8192; rounded up to a power of two and
+/// clamped to kMaxRingEvents. A clamped value, or a VPAR_TRACE_EVENTS that
+/// is not a number (it then falls back to 8192), prints one stderr warning.
 void set_ring_capacity(std::size_t events);
+
+/// Capacity of rings created from now on (a power of two).
+[[nodiscard]] std::size_t ring_capacity();
+
+namespace detail {
+/// The ring capacity a VPAR_TRACE_EVENTS value selects (null, empty or 0:
+/// the 8192 default); the parser behind the default, exposed for tests.
+[[nodiscard]] std::size_t ring_capacity_from_env(const char* value);
+}  // namespace detail
 
 }  // namespace vpar::trace

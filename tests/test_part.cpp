@@ -1,8 +1,9 @@
 // Partitioner invariants: rank-grid factorization, cover-exactly-once and
 // disjointness of block and block-cyclic decompositions, neighbor symmetry,
 // halo schedule send/recv pairing — property-tested across world sizes 1–16
-// including non-power-of-two worlds and degenerate 1-wide axes — plus an
-// end-to-end ghost-fill check of exchange_halo over the simrt runtime.
+// including non-power-of-two worlds and degenerate 1-wide axes — plus
+// end-to-end ghost-fill checks of exchange_halo over the simrt runtime,
+// with self-peer faces copied in place rather than sent.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "part/part.hpp"
 #include "part/partition.hpp"
 #include "simrt/runtime.hpp"
+#include "trace/metrics.hpp"
 
 namespace vpar::part {
 namespace {
@@ -268,12 +270,36 @@ void expect_send_recv_pairing(const BlockPartition<N>& p,
   }
 }
 
+/// True when plan_halo accepts every rank of `p`: each block is at least as
+/// wide as the ghost width on every axis where it has a neighbor.
+template <std::size_t N>
+bool blocks_hold_ghosts(const BlockPartition<N>& p, const HaloSpec<N>& spec) {
+  for (int r = 0; r < p.size(); ++r) {
+    const Extent<N> n = p.local_extent(r);
+    for (std::size_t a = 0; a < N; ++a) {
+      const bool has_neighbor = p.neighbor(r, a, +1) >= 0 || p.neighbor(r, a, -1) >= 0;
+      if (has_neighbor && spec.width[a] > n[a]) return false;
+    }
+  }
+  return true;
+}
+
 TEST(HaloSchedule, SendRecvPairingAcrossWorlds) {
   for (int ranks = 1; ranks <= 16; ++ranks) {
     for (bool periodic : {false, true}) {
       const auto p = BlockPartition<2>::make(Extent<2>{{24, 18}}, ranks,
                                              {periodic, periodic});
-      expect_send_recv_pairing(p, HaloSpec<2>{Extent<2>{{2, 2}}, 100});
+      const HaloSpec<2> spec{Extent<2>{{2, 2}}, 100};
+      if (!blocks_hold_ghosts(p, spec)) {
+        // 13 ranks split the 24 columns 13 ways: two blocks are 1 wide, less
+        // than the 2-wide ghosts, so planning must refuse that world.
+        EXPECT_EQ(ranks, 13);
+        EXPECT_THROW(
+            for (int r = 0; r < p.size(); ++r) static_cast<void>(plan_halo(p, r, spec)),
+            std::invalid_argument);
+        continue;
+      }
+      expect_send_recv_pairing(p, spec);
     }
   }
 }
@@ -300,6 +326,22 @@ TEST(HaloSchedule, NonPeriodicEdgeRankSkipsBoundaryFaces) {
   EXPECT_EQ(sched.phases[0].sends.size(), 1u);  // only the + face exists
   EXPECT_EQ(sched.phases[0].recvs.size(), 1u);
   EXPECT_EQ(sched.phases[0].sends[0].peer, 1);
+}
+
+TEST(HaloSchedule, RejectsGhostWidthAboveLocalExtent) {
+  // A self-peer face: a 1-rank periodic axis, 3 cells, ghosts 4 deep.
+  const BlockPartition<1> self(Extent<1>{{3}}, {1}, {true});
+  EXPECT_THROW(static_cast<void>(plan_halo(self, 0, HaloSpec<1>{Extent<1>{{4}}, 0})),
+               std::invalid_argument);
+  EXPECT_NO_THROW(static_cast<void>(plan_halo(self, 0, HaloSpec<1>{Extent<1>{{3}}, 0})));
+  // Cross-rank faces: 2 ranks of 1 cell each, ghosts 2 deep.
+  const BlockPartition<1> pair(Extent<1>{{2}}, {2}, {false});
+  EXPECT_THROW(static_cast<void>(plan_halo(pair, 0, HaloSpec<1>{Extent<1>{{2}}, 0})),
+               std::invalid_argument);
+  // No neighbor on the axis, so no face: any width plans (to nothing).
+  const BlockPartition<1> alone(Extent<1>{{1}}, {1}, {false});
+  const auto sched = plan_halo(alone, 0, HaloSpec<1>{Extent<1>{{2}}, 0});
+  EXPECT_TRUE(sched.phases.empty());
 }
 
 // --- layout -----------------------------------------------------------------
@@ -430,6 +472,109 @@ TEST(ExchangeHalo, SelfExchangeOnSingleRankPeriodicWorld) {
     EXPECT_EQ(data[layout.offset(Index<2>{{0, -1}})], cell_value(0, 3, 0));
     EXPECT_EQ(data[layout.offset(Index<2>{{-1, -1}})], cell_value(5, 3, 0));
   });
+}
+
+/// Linear global index of `g` in `global`, axis 0 fastest.
+template <std::size_t N>
+double global_code(const Index<N>& g, const Extent<N>& global, std::size_t plane) {
+  double code = 0.0;
+  for (std::size_t a = N; a-- > 0;) {
+    code = code * static_cast<double>(global[a]) + static_cast<double>(g[a]);
+  }
+  return static_cast<double>(plane) * 1.0e6 + code;
+}
+
+constexpr std::size_t kWrapPlanes = 2;
+
+/// Fill the interior of kWrapPlanes planes with global_code, the ghosts with
+/// -1, run one exchange, and check that every cell of the ghost-extended
+/// tile holds the code of its periodically wrapped global cell. Returns the
+/// communication calls the exchange made.
+template <std::size_t N>
+std::uint64_t exchange_checks_wrapped(simrt::Communicator& comm,
+                                      const BlockPartition<N>& p,
+                                      const HaloSpec<N>& spec) {
+  const int rank = comm.rank();
+  const Extent<N> n = p.local_extent(rank);
+  const Index<N> o = p.origin(rank);
+  const auto layout = TileLayout<N>::make(n, spec.width);
+  Box<N> interior, tile;
+  for (std::size_t a = 0; a < N; ++a) {
+    interior.hi[a] = static_cast<std::ptrdiff_t>(n[a]);
+    tile.lo[a] = -static_cast<std::ptrdiff_t>(spec.width[a]);
+    tile.hi[a] = static_cast<std::ptrdiff_t>(n[a] + spec.width[a]);
+  }
+  // Wrapped global index of local index `l` (row start) shifted by i on axis 0.
+  const auto wrapped = [&](Index<N> l, std::ptrdiff_t i) {
+    l[0] += i;
+    for (std::size_t a = 0; a < N; ++a) {
+      const auto m = static_cast<std::ptrdiff_t>(p.global()[a]);
+      l[a] = ((o[a] + l[a]) % m + m) % m;
+    }
+    return l;
+  };
+
+  std::vector<std::vector<double>> storage(kWrapPlanes,
+                                           std::vector<double>(layout.total(), -1.0));
+  std::vector<double*> planes;
+  for (auto& st : storage) planes.push_back(st.data());
+  for (std::size_t pl = 0; pl < kWrapPlanes; ++pl) {
+    detail::for_each_row<N>(interior, [&](const Index<N>& row, std::size_t len) {
+      for (std::size_t i = 0; i < len; ++i) {
+        storage[pl][layout.offset(row) + i] = global_code<N>(
+            wrapped(row, static_cast<std::ptrdiff_t>(i)), p.global(), pl);
+      }
+    });
+  }
+
+  const auto sched = plan_halo(p, rank, spec);
+  const std::uint64_t calls_before = comm.comm_calls();
+  exchange_halo(comm, sched, layout, planes);
+  const std::uint64_t calls = comm.comm_calls() - calls_before;
+
+  for (std::size_t pl = 0; pl < kWrapPlanes; ++pl) {
+    detail::for_each_row<N>(tile, [&](const Index<N>& row, std::size_t len) {
+      for (std::size_t i = 0; i < len; ++i) {
+        const double want = global_code<N>(
+            wrapped(row, static_cast<std::ptrdiff_t>(i)), p.global(), pl);
+        EXPECT_EQ(storage[pl][layout.offset(row) + i], want)
+            << "rank " << rank << " plane " << pl << " row axis-1 index " << row[1]
+            << " x " << row[0] + static_cast<std::ptrdiff_t>(i);
+      }
+    });
+  }
+  return calls;
+}
+
+TEST(ExchangeHalo, SelfPeerFacesMoveWithoutMessages) {
+  auto& halo_bytes = trace::Metrics::instance().counter("part.halo_bytes");
+
+  // P=1, 4D, width 1: every face is self-peer, so the exchange makes no
+  // communication call at all, yet counts all 8 faces as halo bytes.
+  const BlockPartition<4> one(Extent<4>{{4, 3, 2, 5}}, {1, 1, 1, 1},
+                              {true, true, true, true});
+  const HaloSpec<4> spec4{Extent<4>{{1, 1, 1, 1}}, 300};
+  std::uint64_t before = halo_bytes.value();
+  simrt::run(1, [&](simrt::Communicator& comm) {
+    EXPECT_EQ(exchange_checks_wrapped(comm, one, spec4), 0u);
+  });
+  EXPECT_EQ(halo_bytes.value() - before,
+            kWrapPlanes * sizeof(double) *
+                plan_halo(one, 0, spec4).send_elements_per_plane());
+
+  // P=2 on a 1x2 grid, 2D, width 2: axis 0 is self-peer (copied), axis 1
+  // crosses ranks (2 irecv + 2 isend per rank).
+  const BlockPartition<2> two(Extent<2>{{6, 8}}, {1, 2}, {true, true});
+  const HaloSpec<2> spec2{Extent<2>{{2, 2}}, 400};
+  before = halo_bytes.value();
+  simrt::run(2, [&](simrt::Communicator& comm) {
+    EXPECT_EQ(exchange_checks_wrapped(comm, two, spec2), 4u);
+  });
+  std::uint64_t elements = 0;
+  for (int r = 0; r < 2; ++r) {
+    elements += plan_halo(two, r, spec2).send_elements_per_plane();
+  }
+  EXPECT_EQ(halo_bytes.value() - before, kWrapPlanes * sizeof(double) * elements);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "gtc/push.hpp"
 #include "lbmhd/collision.hpp"
 #include "lbmhd/field_set.hpp"
+#include "qcd/dslash.hpp"
 #include "simd/dispatch.hpp"
 #include "simrt/runtime.hpp"
 #include "trace/metrics.hpp"
@@ -316,22 +319,107 @@ TEST(SimdEquivalence, GemmComplex) {
   }
 }
 
+/// The four simd.* readings a kernel call moves.
+struct SimdCounts {
+  std::uint64_t vector_iters = 0;
+  std::uint64_t remainder_iters = 0;
+  std::uint64_t lanes_count = 0;
+  std::uint64_t lanes_sum = 0;
+};
+
+SimdCounts read_simd_counts() {
+  auto& metrics = trace::Metrics::instance();
+  const auto& lanes = metrics.histogram("simd.lanes_active");
+  return {metrics.counter("simd.vector_iters").value(),
+          metrics.counter("simd.remainder_iters").value(), lanes.count(), lanes.sum()};
+}
+
+/// What `spans` spans of `n` points add at width `w`: n / w full-width
+/// iterations each, plus one partial iteration of n % w lanes.
+SimdCounts spans_of(std::size_t w, std::size_t spans, std::size_t n) {
+  SimdCounts c;
+  c.vector_iters = spans * (n / w);
+  c.remainder_iters = spans * (n % w);
+  c.lanes_count = c.vector_iters + (n % w != 0 ? spans : 0);
+  c.lanes_sum = w * c.vector_iters + c.remainder_iters;
+  return c;
+}
+
+SimdCounts operator+(SimdCounts a, const SimdCounts& b) {
+  a.vector_iters += b.vector_iters;
+  a.remainder_iters += b.remainder_iters;
+  a.lanes_count += b.lanes_count;
+  a.lanes_sum += b.lanes_sum;
+  return a;
+}
+
+/// Run `call` and expect it to move the simd.* metrics by exactly `want`.
+template <typename Call>
+void expect_simd_counts(const char* what, const SimdCounts& want, Call&& call) {
+  const SimdCounts before = read_simd_counts();
+  call();
+  const SimdCounts after = read_simd_counts();
+  EXPECT_EQ(after.vector_iters - before.vector_iters, want.vector_iters) << what;
+  EXPECT_EQ(after.remainder_iters - before.remainder_iters, want.remainder_iters) << what;
+  EXPECT_EQ(after.lanes_count - before.lanes_count, want.lanes_count) << what;
+  EXPECT_EQ(after.lanes_sum - before.lanes_sum, want.lanes_sum) << what;
+}
+
 TEST(SimdEquivalence, MetricsRecordVectorSpans) {
   // Only meaningful when the host actually runs a vector path.
   if (simd::preferred_width() < 2) GTEST_SKIP() << "scalar-only host/build";
-  auto& metrics = trace::Metrics::instance();
-  const std::uint64_t before_vec = metrics.counter("simd.vector_iters").value();
-  const std::uint64_t before_hist = metrics.histogram("simd.lanes_active").count();
+  DispatchGuard g(DispatchMode::ForceSimd);
+  const std::size_t w = simd::active_width();
+  // Every row below is 2 full-width iterations plus a 3-lane tail (for
+  // w = 2: 3 full plus 1 lane), so both kinds of iteration are counted.
+  const std::size_t row = 2 * w + 3;
+
+  // LBMHD collision: one span per row.
   {
-    DispatchGuard g(DispatchMode::ForceSimd);
-    lbmhd::FieldSet fs(33, 3);
+    const std::size_t ny = 3;
+    lbmhd::FieldSet fs(row, ny);
     for (std::size_t i = 0; i < fs.raw().size(); ++i) {
       fs.raw()[i] = i < 9 * fs.plane_size() ? 0.1 : 0.001;
     }
-    lbmhd::collide_flat(fs, lbmhd::CollisionParams{});
+    expect_simd_counts("collide_flat", spans_of(w, ny, row),
+                       [&] { lbmhd::collide_flat(fs, lbmhd::CollisionParams{}); });
   }
-  EXPECT_GT(metrics.counter("simd.vector_iters").value(), before_vec);
-  EXPECT_GT(metrics.histogram("simd.lanes_active").count(), before_hist);
+
+  // Dslash: one span per (y, z, t) row of nxh sites.
+  {
+    qcd::HalfGeom geom;
+    geom.n = part::Extent<4>{{row, 2, 3, 2}};
+    geom.layout = part::TileLayout<4>::make(geom.n, part::Extent<4>{{1, 1, 1, 1}});
+    std::vector<std::vector<double>> in(qcd::kPlanes,
+                                        std::vector<double>(geom.layout.total(), 0.5));
+    std::vector<std::vector<double>> out(qcd::kPlanes,
+                                         std::vector<double>(geom.layout.total(), 0.0));
+    std::array<const double*, qcd::kPlanes> src{};
+    std::array<double*, qcd::kPlanes> dst{};
+    for (std::size_t p = 0; p < qcd::kPlanes; ++p) {
+      src[p] = in[p].data();
+      dst[p] = out[p].data();
+    }
+    expect_simd_counts("apply_dslash", spans_of(w, 2 * 3 * 2, row),
+                       [&] { qcd::apply_dslash(dst, src, geom, 0); });
+  }
+
+  // Cactus ADM RHS: each (j, k) row is cut into 128-point chunks, one span
+  // per chunk; 128 + row points make one full chunk and one short chunk.
+  {
+    const std::size_t nx = 128 + row, ny = 3, nz = 2;
+    cactus::GridFunctions state(cactus::kNumFields, nx, ny, nz);
+    std::mt19937_64 rng(7);
+    std::uniform_real_distribution<double> dist(-0.01, 0.01);
+    for (auto& v : state.raw()) v = dist(rng);
+    cactus::GridFunctions rhs(cactus::kNumFields, nx, ny, nz);
+    expect_simd_counts(
+        "compute_rhs", spans_of(w, ny * nz, 128) + spans_of(w, ny * nz, row), [&] {
+          cactus::compute_rhs(state, rhs, 0.25, 0, static_cast<std::ptrdiff_t>(nx), 0,
+                              static_cast<std::ptrdiff_t>(ny), 0,
+                              static_cast<std::ptrdiff_t>(nz), cactus::RhsVariant::Vector);
+        });
+  }
 }
 
 }  // namespace

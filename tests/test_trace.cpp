@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -245,6 +246,29 @@ TEST_F(TraceTest, FullModeSpillsInsteadOfOverwriting) {
     EXPECT_EQ(tt.events.back().arg0, 49);
   }
   EXPECT_TRUE(found);
+}
+
+TEST_F(TraceTest, RingCapacityClampsToTheMaximum) {
+  set_ring_capacity(SIZE_MAX);  // rounding SIZE_MAX up used to loop forever
+  EXPECT_EQ(ring_capacity(), kMaxRingEvents);
+  set_ring_capacity(kMaxRingEvents + 1);
+  EXPECT_EQ(ring_capacity(), kMaxRingEvents);
+  set_ring_capacity(100);
+  EXPECT_EQ(ring_capacity(), 128u);
+  set_ring_capacity(0);
+  EXPECT_EQ(ring_capacity(), 1u);
+  set_ring_capacity(8192);
+
+  // VPAR_TRACE_EVENTS: out-of-range values used to abort the process with
+  // length_error or bad_alloc when the first ring was allocated.
+  EXPECT_EQ(detail::ring_capacity_from_env("99999999999999999999"), kMaxRingEvents);
+  EXPECT_EQ(detail::ring_capacity_from_env("4294967296"), kMaxRingEvents);
+  EXPECT_EQ(detail::ring_capacity_from_env("1000"), 1024u);
+  EXPECT_EQ(detail::ring_capacity_from_env("many"), 8192u);
+  EXPECT_EQ(detail::ring_capacity_from_env("64k"), 8192u);
+  EXPECT_EQ(detail::ring_capacity_from_env("-5"), 8192u);
+  EXPECT_EQ(detail::ring_capacity_from_env("0"), 8192u);
+  EXPECT_EQ(detail::ring_capacity_from_env(nullptr), 8192u);
 }
 
 TEST_F(TraceTest, SpanRecordsDurationAndThreadRank) {
