@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Full check: regular build + tests, then the simrt runtime test binaries
-# under ThreadSanitizer (the threads-as-ranks runtime is the one place real
+# Full check: regular build + tests, a rerun of the physics, executor,
+# hybrid and service suites with the deadlock watchdog armed process-wide
+# (every job then runs supervised, rank 0 on the caller), then the simrt
+# runtime test binaries under ThreadSanitizer (the threads-as-ranks runtime is the one place real
 # data races can hide), then under AddressSanitizer+UBSan the SIMD suites
 # (the vector strip-mining tails are the one place out-of-bounds loads can
 # hide), the runtime suites that drive the payload arena and its
@@ -25,6 +27,12 @@ echo "== regular build + full test suite =="
 cmake -B build -S . >/dev/null
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
+
+echo "== watchdog armed (VPAR_WATCHDOG_MS=20000) =="
+for t in test_lbmhd test_gtc test_simrt_executor test_simrt_hybrid test_service; do
+  echo "-- armed: $t"
+  VPAR_WATCHDOG_MS=20000 "./build/tests/$t"
+done
 
 echo "== ThreadSanitizer build (simrt runtime tests) =="
 cmake -B build-tsan -S . -DVPAR_SANITIZE=thread >/dev/null

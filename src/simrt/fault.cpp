@@ -44,8 +44,15 @@ std::uint64_t now_ns() {
 void JobControl::configure(const RunOptions& options) {
   fault_ = options.fault;
   checksums_ = options.checksums;
-  watchdog_ =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(options.watchdog);
+  // Saturate instead of wrapping: a timeout too long for nanoseconds (~292
+  // years) would otherwise turn into an arbitrary short one.
+  constexpr auto kLongest =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::nanoseconds::max());
+  watchdog_ = options.watchdog >= kLongest
+                  ? std::chrono::nanoseconds::max()
+                  : std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        options.watchdog);
   deadline_ = options.deadline;
   postmortem_ = options.postmortem;
   aborted_.store(false, std::memory_order_release);

@@ -31,11 +31,12 @@ class WatchdogTimeout : public JobAborted {
 };
 
 /// JobAborted raised when a job is still running at its RunOptions::deadline.
-/// The caller-thread scanner (the same one that backs the deadlock watchdog)
-/// trips the cooperative-abort latch: blocked ranks are woken immediately,
-/// compute-bound ranks observe the abort at their next communication call —
-/// cancellation is cooperative, exactly like every other abort in the
-/// runtime. The service layer maps this onto per-job deadlines.
+/// The executor's supervisor thread (the same one that backs the deadlock
+/// watchdog) trips the cooperative-abort latch: blocked ranks are woken
+/// immediately, compute-bound ranks observe the abort at their next
+/// communication call — cancellation is cooperative, exactly like every
+/// other abort in the runtime. The service layer maps this onto per-job
+/// deadlines.
 class DeadlineExceeded : public JobAborted {
  public:
   using JobAborted::JobAborted;
@@ -145,7 +146,8 @@ struct RunOptions {
   FaultPlan fault{};
   /// Deadlock watchdog timeout; 0 disarms. When armed, a job whose every
   /// unfinished rank sits in a blocking wait for longer than this is aborted
-  /// with a WatchdogTimeout carrying the per-rank blocked-state report.
+  /// with a WatchdogTimeout carrying the per-rank blocked-state report. A
+  /// timeout too long for std::chrono::nanoseconds saturates to its maximum.
   std::chrono::milliseconds watchdog{0};
   /// Attach and verify a per-message payload checksum (detects injected
   /// bit-flips at the cost of one extra pass over every payload).

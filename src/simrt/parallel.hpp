@@ -7,11 +7,12 @@ namespace vpar::simrt {
 
 /// Nested loop-level parallelism under the Executor pool — the simulated
 /// analogue of the paper's hybrid MPI+OpenMP mode. A rank's kernel calls
-/// parallel_for to split a loop into chunks; workers of the Executor running
-/// the job whose rank is beyond the job's size (idle helpers) steal chunks
-/// alongside the owning rank. With no idle helpers — or with hybrid threading
-/// disabled — the call degrades to serial chunk-by-chunk execution on the
-/// caller.
+/// parallel_for to split a loop into chunks; pool workers of the Executor
+/// running the job that run none of its ranks (idle helpers: a pool of W
+/// workers has W + 1 - P of them for a P-rank job, since the run() caller is
+/// rank 0) are woken and steal chunks alongside the owning rank. With no
+/// idle helpers — or with hybrid threading disabled — the call degrades to
+/// serial chunk-by-chunk execution on the caller.
 ///
 /// Chunk-boundary guarantee: the body is always invoked on the deterministic
 /// chunks [begin + k*grain, min(begin + (k+1)*grain, end)), serial or hybrid;
@@ -30,14 +31,15 @@ namespace vpar::simrt {
 
 /// Hybrid engagement policy:
 ///  - Auto (default): engage only when the host has more cores than the job
-///    has ranks (std::thread::hardware_concurrency() > job size) AND idle
-///    pool workers exist. On a host without spare cores, helpers would only
-///    add contention, so Auto stays serial there.
+///    has ranks (std::thread::hardware_concurrency(), read once per process,
+///    > job size) AND idle pool workers exist. On a host without spare
+///    cores, helpers would only add contention, so Auto stays serial there.
 ///  - On: engage whenever idle pool workers exist (correctness tests, TSan
 ///    stress, and benches force this to exercise the concurrent path).
 ///  - Off: always serial.
-/// The VPAR_HYBRID environment variable (auto|on|off) sets the process
-/// default; set_hybrid_threading overrides it at runtime.
+/// The VPAR_HYBRID environment variable (auto|on|off|1|0) sets the process
+/// default, read on first use; any other value makes that use throw
+/// std::invalid_argument. set_hybrid_threading overrides it at runtime.
 enum class HybridMode { Auto, On, Off };
 
 void set_hybrid_threading(HybridMode mode);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <stdexcept>
@@ -33,17 +35,47 @@ struct LoopTask {
   std::map<int, perf::Recorder> partials;  // helper pool rank -> records
 };
 
+namespace detail {
+
+std::chrono::milliseconds watchdog_from_env(const char* value) {
+  if (value == nullptr || *value == '\0') return std::chrono::milliseconds(0);
+  const char* end = value + std::strlen(value);
+  std::uint64_t ms = 0;
+  const auto [ptr, ec] = std::from_chars(value, end, ms);
+  if (ec != std::errc() || ptr != end ||
+      ms > static_cast<std::uint64_t>(kMaxWatchdogMs)) {
+    throw std::invalid_argument(
+        "VPAR_WATCHDOG_MS='" + std::string(value) +
+        "' is not a watchdog timeout: expected a whole number of milliseconds "
+        "in [0, " + std::to_string(kMaxWatchdogMs) + "] (0 disarms)");
+  }
+  return std::chrono::milliseconds(static_cast<std::int64_t>(ms));
+}
+
+HybridMode hybrid_mode_from_env(const char* value) {
+  if (value == nullptr || *value == '\0') return HybridMode::Auto;
+  const std::string v(value);
+  if (v == "auto") return HybridMode::Auto;
+  if (v == "on" || v == "1") return HybridMode::On;
+  if (v == "off" || v == "0") return HybridMode::Off;
+  throw std::invalid_argument(
+      "VPAR_HYBRID='" + v + "' is not a hybrid mode: expected auto|on|off|1|0");
+}
+
+}  // namespace detail
+
 namespace {
 
-/// True on threads that are executor workers: a nested run() from inside a
-/// job must not try to borrow the pool it is running on.
+/// True while this thread runs a rank body or a helper chunk (always on pool
+/// workers): a nested run() from inside a job must not try to borrow the
+/// pool it is running on.
 thread_local bool t_in_worker = false;
 
-/// Loop-service context of the rank body executing on this worker thread:
-/// set around the body in worker_loop so parallel_for can find the job's
-/// control block, the owning rank, and the Executor whose idle workers may
-/// help. Null on helpers and outside the runtime — parallel_for degrades to
-/// serial there.
+/// Loop-service context of the rank body executing on this thread: set
+/// around the body by RankScope so parallel_for can find the job's control
+/// block, the owning rank, and the Executor whose idle workers may help.
+/// Null on helpers and outside the runtime — parallel_for degrades to serial
+/// there.
 thread_local Executor* t_loop_executor = nullptr;
 thread_local RuntimeState* t_loop_state = nullptr;
 thread_local int t_loop_rank = -1;
@@ -53,35 +85,76 @@ thread_local int t_loop_rank = -1;
 /// re-enter the chunk server.
 thread_local bool t_in_loop_chunk = false;
 
-HybridMode env_hybrid_mode() {
-  const char* s = std::getenv("VPAR_HYBRID");
-  if (s == nullptr) return HybridMode::Auto;
-  const std::string v(s);
-  if (v == "on" || v == "1") return HybridMode::On;
-  if (v == "off" || v == "0") return HybridMode::Off;
-  return HybridMode::Auto;
+/// Process-wide hybrid engagement policy (see simrt/parallel.hpp); the
+/// VPAR_HYBRID environment variable seeds it on first use,
+/// set_hybrid_threading overrides. Relaxed atomic: policy flips are
+/// test/bench-scoped, not synchronization points.
+std::atomic<HybridMode>& hybrid_mode() {
+  static std::atomic<HybridMode> mode{
+      detail::hybrid_mode_from_env(std::getenv("VPAR_HYBRID"))};
+  return mode;
 }
 
-/// Process-wide hybrid engagement policy (see simrt/parallel.hpp); the
-/// VPAR_HYBRID environment variable seeds it, set_hybrid_threading overrides.
-/// Relaxed atomic: policy flips are test/bench-scoped, not synchronization
-/// points.
-std::atomic<HybridMode> g_hybrid_mode{env_hybrid_mode()};
+/// Cores of the host, read once: the query costs microseconds per call and
+/// parallel_for asks on every loop.
+unsigned host_cores() {
+  static const unsigned cores = std::thread::hardware_concurrency();
+  return cores;
+}
 
 /// Should a parallel_for issued by a rank of a `job_size`-rank job try to
 /// engage idle helpers? (The idle-helper count is checked separately.)
 bool hybrid_policy_engages(int job_size) {
-  switch (g_hybrid_mode.load(std::memory_order_relaxed)) {
+  switch (hybrid_mode().load(std::memory_order_relaxed)) {
     case HybridMode::On: return true;
     case HybridMode::Off: return false;
     case HybridMode::Auto:
       // Helpers only pay off when the host has spare cores beyond the
       // active ranks; otherwise they just contend with the team.
-      return std::thread::hardware_concurrency() >
-             static_cast<unsigned>(job_size);
+      return host_cores() > static_cast<unsigned>(job_size);
   }
   return false;
 }
+
+/// The thread-local context of one rank body, installed on entry and the
+/// previous one restored on exit: the caller that runs rank 0 (a service
+/// lane between jobs, a rank of an enclosing job running a nested one, a
+/// helper chunk) gets its own loop-service state and trace rank back.
+class RankScope {
+ public:
+  RankScope(Executor* executor, RuntimeState& state, int rank)
+      : in_worker_(t_in_worker),
+        executor_(t_loop_executor),
+        state_(t_loop_state),
+        rank_(t_loop_rank),
+        in_chunk_(t_in_loop_chunk),
+        trace_rank_(trace::thread_rank()) {
+    t_in_worker = true;
+    t_loop_executor = executor;
+    t_loop_state = &state;
+    t_loop_rank = rank;
+    t_in_loop_chunk = false;
+    trace::set_thread_rank(rank);
+  }
+  ~RankScope() {
+    t_in_worker = in_worker_;
+    t_loop_executor = executor_;
+    t_loop_state = state_;
+    t_loop_rank = rank_;
+    t_in_loop_chunk = in_chunk_;
+    trace::set_thread_rank(trace_rank_);
+  }
+  RankScope(const RankScope&) = delete;
+  RankScope& operator=(const RankScope&) = delete;
+
+ private:
+  bool in_worker_;
+  Executor* executor_;
+  RuntimeState* state_;
+  int rank_;
+  bool in_chunk_;
+  int trace_rank_;
+};
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -100,13 +173,11 @@ std::uint64_t mix64(std::uint64_t x) {
 }
 
 /// Environment-armed default watchdog (VPAR_WATCHDOG_MS): applied to every
-/// job whose options do not arm one explicitly. Read once per process.
+/// job whose options do not arm one explicitly. Read once per process; a
+/// malformed value throws from every run() until it is fixed.
 std::chrono::milliseconds env_watchdog() {
-  static const std::chrono::milliseconds value = [] {
-    const char* s = std::getenv("VPAR_WATCHDOG_MS");
-    const long ms = (s != nullptr) ? std::strtol(s, nullptr, 10) : 0;
-    return std::chrono::milliseconds(ms > 0 ? ms : 0);
-  }();
+  static const std::chrono::milliseconds value =
+      detail::watchdog_from_env(std::getenv("VPAR_WATCHDOG_MS"));
   return value;
 }
 
@@ -199,31 +270,26 @@ std::chrono::nanoseconds watchdog_chunk(std::chrono::nanoseconds timeout) {
       timeout.count() / 4, 5'000'000, 200'000'000));
 }
 
-/// Caller-thread supervision of an in-flight job: plain condvar wait when
-/// nothing is armed, otherwise chunked waits that double as the deadlock
-/// watchdog scanner and the deadline enforcer (no extra thread either way).
-/// Both enforcement paths funnel into the same cooperative-abort latch:
-/// blocked ranks wake with JobAborted immediately, compute-bound ranks
-/// observe the abort at their next communication call. `lock` guards
-/// `first_error` and whatever `done` reads; it is released only around
-/// abort() (which takes the job's own mutex and wakes rank threads).
+/// Supervision of one armed job, on the executor's supervisor thread:
+/// chunked waits that double as the deadlock watchdog scanner and the
+/// deadline enforcer, until `done`. Both enforcement paths funnel into the
+/// same cooperative-abort latch: blocked ranks wake with JobAborted
+/// immediately, compute-bound ranks (rank 0 on the caller too) observe the
+/// abort at their next communication call. `lock` guards `first_error` and
+/// whatever `done` reads, and stays held from the check to the abort, so a
+/// verdict is recorded only while the job runs and the run() caller cannot
+/// retire the job's state underneath it. (abort() takes the job's own mutex
+/// and then mailbox mutexes, which never wait for the executor's.)
 void supervise_job(std::unique_lock<std::mutex>& lock,
                    std::condition_variable& cv_done,
                    const std::function<bool()>& done, RuntimeState& state,
                    std::uint64_t generation, std::exception_ptr& first_error) {
   const bool watchdog = state.control.watchdog_armed();
   const bool deadline = state.control.deadline_armed();
-  if (!watchdog && !deadline) {
-    cv_done.wait(lock, done);
-    return;
-  }
 
-  auto abort_with = [&](std::exception_ptr error, std::string reason) {
+  auto abort_with = [&](std::exception_ptr error, const std::string& reason) {
     if (!first_error) first_error = std::move(error);
-    lock.unlock();
-    state.control.abort(std::move(reason));
-    lock.lock();
-    cv_done.wait(lock, done);
+    state.control.abort(reason);
   };
 
   const auto timeout = state.control.watchdog();
@@ -329,9 +395,10 @@ Executor::~Executor() {
     std::lock_guard lock(mutex_);
     shutdown_ = true;
   }
-  cv_job_.notify_all();
-  cv_loop_.notify_all();
-  for (auto& t : workers_) t.join();
+  for (auto& w : workers_) w->wake.notify_one();
+  cv_supervise_.notify_one();
+  for (auto& w : workers_) w->thread.join();
+  if (supervisor_.joinable()) supervisor_.join();
 }
 
 int Executor::workers() {
@@ -348,62 +415,30 @@ Executor& Executor::shared() {
   return executor;
 }
 
-void Executor::worker_loop(int rank, std::uint64_t seen) {
-  t_in_worker = true;
-  trace::set_thread_label("worker", rank);
-  for (;;) {
-    const std::function<void(Communicator&)>* body = nullptr;
-    RuntimeState* state = nullptr;
-    int size = 0;
-    {
-      std::unique_lock lock(mutex_);
-      cv_job_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
-      if (shutdown_) return;
-      seen = generation_;
-      body = job_body_;
-      state = job_state_;
-      size = job_size_;
-    }
-    if (rank >= size) {
-      // This job is smaller than the pool: serve active ranks' parallel_for
-      // chunks until the next job instead of sleeping through it.
-      help_loops(rank, seen);
-      continue;
-    }
-
-    {
-      trace::set_thread_rank(rank);
-      trace::TraceSpan job_span("job", rank, size);
-      perf::ScopedRecorder scoped(state->recorders[static_cast<std::size_t>(rank)]);
-      Communicator comm(*state, rank);
-      t_loop_executor = this;
-      t_loop_state = state;
-      t_loop_rank = rank;
-      try {
-        (*body)(comm);
-      } catch (...) {
-        record_rank_failure(*state, rank, std::current_exception(), mutex_,
-                            first_error_);
-      }
-      t_loop_executor = nullptr;
-      t_loop_state = nullptr;
-      t_loop_rank = -1;
-    }
-    trace::set_thread_rank(-1);
-    state->control.finish(rank);
-    {
-      std::lock_guard lock(mutex_);
-      if (--remaining_ == 0) cv_done_.notify_all();
+void Executor::run_rank(RuntimeState& state, int rank,
+                        const std::function<void(Communicator&)>& body) {
+  {
+    RankScope scope(this, state, rank);
+    trace::TraceSpan job_span("job", rank, state.size);
+    perf::ScopedRecorder scoped(state.recorders[static_cast<std::size_t>(rank)]);
+    Communicator comm(state, rank);
+    try {
+      body(comm);
+    } catch (...) {
+      record_rank_failure(state, rank, std::current_exception(), mutex_,
+                          first_error_);
     }
   }
+  state.control.finish(rank);
 }
 
 namespace {
 
 /// Claim and run chunks of `task` until none remain, recording into a
-/// scratch recorder the owner later merges (helper side). Returns with
-/// in_flight already decremented and the latch notified.
-void serve_task(LoopTask& task) {
+/// scratch recorder the owner later merges (helper side; `helper` is the
+/// pool rank it would serve). Returns with in_flight already decremented
+/// and the latch notified.
+void serve_task(LoopTask& task, int helper) {
   perf::Recorder scratch;
   double chunks = 0.0;
   {
@@ -438,48 +473,91 @@ void serve_task(LoopTask& task) {
   std::lock_guard g(task.m);
   // Merge even the records of a failed loop into the partial map; the owner
   // discards partials wholesale on error, so nothing leaks into profiles.
-  task.partials[t_loop_rank < 0 ? -1 : t_loop_rank].merge(scratch);
+  task.partials[helper].merge(scratch);
   --task.in_flight;
   task.cv.notify_all();
 }
 
+/// A task of `tasks` with unclaimed chunks, joined by the calling helper, or
+/// null (under Executor::mutex_).
+LoopTask* claim_task(const std::vector<LoopTask*>& tasks) {
+  for (LoopTask* t : tasks) {
+    std::lock_guard g(t->m);
+    if (t->error != nullptr || t->next >= t->end) continue;
+    ++t->in_flight;  // join before releasing mutex_: the owner's latch
+    return t;        // now waits for us even if all chunks drain first
+  }
+  return nullptr;
+}
+
 }  // namespace
 
-void Executor::help_loops(int helper, std::uint64_t seen) {
+void Executor::worker_loop(int w, std::uint64_t seen) {
+  t_in_worker = true;
+  const int rank = w + 1;
+  trace::set_thread_label("worker", rank);
   std::unique_lock lock(mutex_);
+  std::condition_variable& wake = workers_[static_cast<std::size_t>(w)]->wake;
   for (;;) {
     LoopTask* task = nullptr;
-    cv_loop_.wait(lock, [&] {
-      if (shutdown_ || generation_ != seen) return true;
-      for (LoopTask* t : loop_tasks_) {
-        std::lock_guard g(t->m);
-        if (t->error != nullptr || t->next >= t->end) continue;
-        ++t->in_flight;  // join before releasing mutex_: the owner's latch
-        task = t;        // now waits for us even if all chunks drain first
-        return true;
-      }
-      return false;
+    wake.wait(lock, [&] {
+      if (shutdown_ || (generation_ != seen && rank < job_size_)) return true;
+      // Idle for the current job (a worker that ran one of its ranks does
+      // not help its loops): serve chunks of any loop that has some.
+      if (rank >= job_size_) task = claim_task(loop_tasks_);
+      return task != nullptr;
     });
-    if (task == nullptr) return;  // new job or shutdown: rejoin the job loop
+    if (shutdown_) return;
+    if (task != nullptr) {
+      lock.unlock();
+      serve_task(*task, rank);
+      lock.lock();
+      continue;
+    }
+    seen = generation_;
+    RuntimeState& state = *job_state_;
+    const std::function<void(Communicator&)>& body = *job_body_;
     lock.unlock();
-    t_loop_rank = helper;
-    serve_task(*task);
-    t_loop_rank = -1;
+    run_rank(state, rank, body);
     lock.lock();
+    if (--remaining_ == 0) cv_done_.notify_all();
+  }
+}
+
+void Executor::supervisor_loop() {
+  trace::set_thread_label("supervisor");
+  std::unique_lock lock(mutex_);
+  std::uint64_t seen = 0;
+  for (;;) {
+    cv_supervise_.wait(
+        lock, [&] { return shutdown_ || supervised_generation_ != seen; });
+    if (shutdown_) return;
+    seen = supervised_generation_;
+    auto done = [&] { return generation_ != seen || remaining_ == 0; };
+    // The armed job may be over before this thread got here; its state is
+    // only touched while it is the published, undrained job.
+    if (done()) continue;
+    supervise_job(lock, cv_done_, done, *job_state_, seen, first_error_);
   }
 }
 
 int Executor::idle_helpers(int job_size) {
   std::lock_guard lock(mutex_);
-  return std::max(0, static_cast<int>(workers_.size()) - job_size);
+  return std::max(0, static_cast<int>(workers_.size()) + 1 - job_size);
 }
 
 void Executor::loop_parallel(RuntimeState& state, int rank, LoopTask& task) {
+  std::size_t pool = 0;
   {
     std::lock_guard lock(mutex_);
     loop_tasks_.push_back(&task);
+    pool = workers_.size();
   }
-  cv_loop_.notify_all();
+  // Wake the workers idle for this job; the pool cannot grow while one of
+  // its jobs runs, so the list is stable without the lock.
+  for (auto w = static_cast<std::size_t>(state.size) - 1; w < pool; ++w) {
+    workers_[w]->wake.notify_one();
+  }
 
   // The owner serves chunks too — it is never idle while helpers work.
   t_in_loop_chunk = true;
@@ -534,14 +612,6 @@ void Executor::loop_parallel(RuntimeState& state, int rank, LoopTask& task) {
   }
 }
 
-void Executor::wait_for_job(std::unique_lock<std::mutex>& lock) {
-  // The watchdog scan reads only atomics and per-mailbox stats; holding
-  // mutex_ here cannot deadlock because no worker ever holds a mailbox lock
-  // while taking mutex_.
-  supervise_job(lock, cv_done_, [this] { return remaining_ == 0; },
-                *job_state_, generation_, first_error_);
-}
-
 RunResult Executor::run(int size, const std::function<void(Communicator&)>& body) {
   RunOptions options;
   options.size = size;
@@ -561,15 +631,24 @@ RunResult Executor::run(const RunOptions& options_in,
     state_->reset();
   }
   state_->control.configure(options);
+  const bool supervised =
+      state_->control.watchdog_armed() || state_->control.deadline_armed();
 
   {
     std::lock_guard lock(mutex_);
     // Grow the pool lazily. New workers capture the *current* generation as
-    // already-seen so they park until the job below is published.
-    while (static_cast<int>(workers_.size()) < size) {
-      const int rank = static_cast<int>(workers_.size());
-      workers_.emplace_back(
-          [this, rank, gen = generation_] { worker_loop(rank, gen); });
+    // already-seen so they park until the job below is published; a worker
+    // reads its slot under mutex_, so only after the push below.
+    workers_.reserve(static_cast<std::size_t>(size - 1));
+    while (static_cast<int>(workers_.size()) < size - 1) {
+      const int w = static_cast<int>(workers_.size());
+      auto worker = std::make_unique<Worker>();
+      worker->thread =
+          std::thread([this, w, gen = generation_] { worker_loop(w, gen); });
+      workers_.push_back(std::move(worker));  // capacity reserved: no throw
+    }
+    if (supervised && !supervisor_.joinable()) {
+      supervisor_ = std::thread([this] { supervisor_loop(); });
     }
     job_body_ = &body;
     job_state_ = state_.get();
@@ -577,12 +656,20 @@ RunResult Executor::run(const RunOptions& options_in,
     remaining_ = size;
     first_error_ = nullptr;
     ++generation_;
+    if (supervised) supervised_generation_ = generation_;
   }
-  cv_job_.notify_all();
-  cv_loop_.notify_all();  // parked helpers re-check the generation too
+  // Wake exactly the workers this job needs, then run rank 0 here.
+  for (int w = 0; w + 1 < size; ++w) {
+    workers_[static_cast<std::size_t>(w)]->wake.notify_one();
+  }
+  if (supervised) cv_supervise_.notify_one();
+  run_rank(*state_, 0, body);
   {
     std::unique_lock lock(mutex_);
-    wait_for_job(lock);
+    if (--remaining_ == 0) cv_done_.notify_all();  // for the supervisor
+    // Once every rank is done, first_error_ is final: the supervisor records
+    // a verdict only while the job runs.
+    cv_done_.wait(lock, [this] { return remaining_ == 0; });
   }
 
   if (first_error_) {
@@ -615,11 +702,11 @@ RunResult run(int size, const std::function<void(Communicator&)>& body) {
 }
 
 void set_hybrid_threading(HybridMode mode) {
-  g_hybrid_mode.store(mode, std::memory_order_relaxed);
+  hybrid_mode().store(mode, std::memory_order_relaxed);
 }
 
 HybridMode hybrid_threading() {
-  return g_hybrid_mode.load(std::memory_order_relaxed);
+  return hybrid_mode().load(std::memory_order_relaxed);
 }
 
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
@@ -627,8 +714,8 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
   if (begin >= end) return;
   const std::size_t range = end - begin;
 
-  // Engage helpers only from a rank body on a pooled worker, outside any
-  // enclosing chunk, when the policy says yes and idle workers exist.
+  // Engage helpers only from a rank body, outside any enclosing chunk, when
+  // the policy says yes and idle workers exist.
   int idle = 0;
   RuntimeState* state = t_loop_state;
   if (state != nullptr && !t_in_loop_chunk &&
@@ -692,9 +779,9 @@ RunResult run(const RunOptions& options,
     return run_distributed(with_defaults(options), body);
   }
   if (t_in_worker) {
-    // A worker cannot borrow the pool it runs on: a nested job gets a
-    // private pool of exactly its own ranks, which has no idle helpers, so
-    // nested parallel_for calls stay serial.
+    // A rank body or helper chunk cannot borrow the pool it runs on: a
+    // nested job gets a private pool of exactly its own ranks, which has no
+    // idle helpers, so nested parallel_for calls stay serial.
     Executor nested;
     return nested.run(options, body);
   }

@@ -35,19 +35,25 @@ struct RunResult {
 ///
 /// The harness calls run() hundreds of times (tests, paper-table benches,
 /// workload synthesizers); spawning and joining P OS threads per call costs
-/// far more than many of the jobs themselves. The executor keeps one worker
-/// per rank parked on a condition variable between jobs and reuses the
-/// RuntimeState (mailboxes, rendezvous, recorders) across same-size runs, so
-/// a warmed-up run() is a wakeup + a job, not P thread creations plus state
-/// construction.
+/// far more than many of the jobs themselves, and so does waking a parked
+/// thread (a condition-variable round trip is ~15 µs on a shared 4-core
+/// VM). The calling thread therefore runs rank 0 itself, like a process
+/// that runs its own rank from the start; pooled worker w runs rank w + 1.
+/// A 1-rank job wakes no thread, a P-rank job wakes exactly the P - 1
+/// workers it needs. The RuntimeState (mailboxes, rendezvous, recorders) is
+/// reused across same-size runs.
 ///
 /// Concurrency contract: jobs are serialized — a run() call blocks until the
-/// pool is free. Worker threads are lazily grown to the largest size seen;
-/// workers whose rank is beyond the current job's size sleep through it. An
-/// exception escaping any rank is rethrown to the caller after the job
-/// drains, and the cached RuntimeState is discarded (in-flight messages of a
-/// failed job must not leak into the next one) — the pool itself stays
-/// healthy.
+/// pool is free. The pool grows lazily to the largest size seen minus one.
+/// Every worker parks in one place between jobs: the helper wait, which it
+/// leaves when a new job needs it as a rank, when a parallel_for it may help
+/// has chunks (it is idle for the current job), or on shutdown. A job with a
+/// watchdog or deadline armed is watched by the executor's supervisor
+/// thread, started by the first such job and parked between them; an
+/// unsupervised job starts no thread. An exception escaping any rank is
+/// rethrown to the caller after the job drains, and the cached RuntimeState
+/// is discarded (in-flight messages of a failed job must not leak into the
+/// next one) — the pool itself stays healthy.
 class Executor {
  public:
   Executor() = default;
@@ -55,8 +61,10 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Run `body` as an SPMD job on `size` ranks, one pooled worker per rank,
-  /// with a perf::Recorder installed on every rank.
+  /// Run `body` as an SPMD job on `size` ranks — rank 0 on the calling
+  /// thread, ranks 1..size-1 on pooled workers — with a perf::Recorder
+  /// installed on every rank. The caller's own thread-local context (its
+  /// trace rank, recorder and loop-service state) is restored afterwards.
   RunResult run(int size, const std::function<void(Communicator&)>& body);
 
   /// As above, with per-job robustness options: a seeded fault-injection
@@ -72,7 +80,7 @@ class Executor {
                 const std::function<void(Communicator&)>& body);
 
   /// Worker threads currently owned by the pool (== the largest job size
-  /// seen so far).
+  /// seen so far minus one: the caller runs rank 0).
   [[nodiscard]] int workers();
 
   /// Process-wide shared executor that simrt::run() dispatches to.
@@ -83,16 +91,25 @@ class Executor {
                            const std::function<void(std::size_t, std::size_t)>&);
   friend int parallel_width();
 
-  void worker_loop(int rank, std::uint64_t seen);
+  /// A pooled thread and its parking place; worker w serves rank w + 1.
+  struct Worker {
+    std::condition_variable wake;  // waits under mutex_
+    std::thread thread;
+  };
 
-  /// Caller-thread wait for job completion; when the job's watchdog is
-  /// armed, doubles as the deadlock scanner (no extra thread).
-  void wait_for_job(std::unique_lock<std::mutex>& lock);
+  /// Worker `w`'s only wait: it runs rank w + 1 of every job that large,
+  /// serves loop chunks while idle for the current job, and exits on
+  /// shutdown.
+  void worker_loop(int w, std::uint64_t seen);
 
-  /// Idle-worker side of the hybrid loop layer: a worker whose rank is
-  /// beyond the current job's size parks here and steals parallel_for
-  /// chunks from active ranks until the next job (or shutdown).
-  void help_loops(int helper, std::uint64_t seen);
+  /// Run `rank` of the published job on this thread, with the thread's own
+  /// context saved and restored around it, and mark the rank finished.
+  void run_rank(RuntimeState& state, int rank,
+                const std::function<void(Communicator&)>& body);
+
+  /// The supervisor thread: parks until an armed job is published, then
+  /// runs the deadlock watchdog and deadline enforcement for it.
+  void supervisor_loop();
 
   /// Owner side: register `task`, serve chunks alongside any helpers, then
   /// latch until every helper has left the body (watchdog-registered).
@@ -104,32 +121,35 @@ class Executor {
   std::mutex run_mutex_;  // serializes whole run() invocations
 
   std::mutex mutex_;  // guards everything below
-  std::condition_variable cv_job_;
-  std::condition_variable cv_done_;
-  std::vector<std::thread> workers_;
+  std::condition_variable cv_done_;  // remaining_ reached 0
+  std::vector<std::unique_ptr<Worker>> workers_;
   std::uint64_t generation_ = 0;
   bool shutdown_ = false;
   int job_size_ = 0;
   const std::function<void(Communicator&)>* job_body_ = nullptr;
   RuntimeState* job_state_ = nullptr;
-  int remaining_ = 0;
+  int remaining_ = 0;  // ranks of the current job still running, rank 0 too
   std::exception_ptr first_error_;
 
-  std::condition_variable cv_loop_;     // wakes idle helpers for loop chunks
-  std::vector<LoopTask*> loop_tasks_;   // in-flight parallel_for tasks
+  std::vector<LoopTask*> loop_tasks_;  // in-flight parallel_for tasks
+
+  std::condition_variable cv_supervise_;     // supervisor's parking place
+  std::uint64_t supervised_generation_ = 0;  // latest armed job
+  std::thread supervisor_;                   // started by the first armed job
 
   std::unique_ptr<RuntimeState> state_;  // recycled across same-size jobs
 };
 
 /// Run `body` as an SPMD job on `size` ranks with a perf::Recorder installed
 /// on every rank. Dispatches to the shared pooled Executor; a nested call from
-/// inside a worker runs on a scoped private Executor instead (the pool cannot
-/// host a job within a job). Exceptions thrown by any rank are rethrown
-/// (first one wins) after all ranks have finished.
+/// inside a rank body (or a helper chunk) runs on a scoped private Executor
+/// instead (the pool cannot host a job within a job). Exceptions thrown by
+/// any rank are rethrown (first one wins) after all ranks have finished.
 ///
 /// Setting VPAR_WATCHDOG_MS in the environment arms the deadlock watchdog
 /// for every job whose options do not arm it explicitly — the chaos-audit
-/// switch for whole test-suite runs.
+/// switch for whole test-suite runs. A malformed value makes run() throw
+/// std::invalid_argument (see detail::watchdog_from_env).
 RunResult run(int size, const std::function<void(Communicator&)>& body);
 
 /// Options-carrying variant (fault injection, checksums, watchdog); see
@@ -197,5 +217,24 @@ RetryResult run_with_retry(RunOptions options,
 RetryResult run_with_retry(Executor& executor, RunOptions options,
                            const std::function<void(Communicator&)>& body,
                            const RetryPolicy& policy = {});
+
+namespace detail {
+/// Largest VPAR_WATCHDOG_MS accepted: one day. A longer deadlock timeout is
+/// a typo, not a watchdog.
+inline constexpr std::int64_t kMaxWatchdogMs = 86'400'000;
+
+/// The watchdog a VPAR_WATCHDOG_MS value arms: a whole number of
+/// milliseconds in [0, kMaxWatchdogMs], 0 disarming it; null or empty also
+/// disarm. Anything else — a non-number, trailing junk such as "5s", a sign,
+/// or a value above the cap — throws std::invalid_argument naming the
+/// accepted form. The parser behind the default, exposed for tests.
+[[nodiscard]] std::chrono::milliseconds watchdog_from_env(const char* value);
+
+/// The HybridMode a VPAR_HYBRID value selects: auto|on|off|1|0; null or
+/// empty is Auto. Anything else throws std::invalid_argument naming the
+/// accepted values. Read on first use of the hybrid policy, not at static
+/// initialization, so the throw reaches a caller.
+[[nodiscard]] HybridMode hybrid_mode_from_env(const char* value);
+}  // namespace detail
 
 }  // namespace vpar::simrt

@@ -5,12 +5,14 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "service/breaker.hpp"
 #include "service/job_server.hpp"
 #include "simrt/communicator.hpp"
+#include "trace/trace.hpp"
 
 namespace vpar::service {
 namespace {
@@ -200,6 +202,37 @@ TEST(Lifecycle, DrainWaitsForEveryTicket) {
     EXPECT_TRUE(a.ticket.done());
     EXPECT_EQ(a.ticket.wait().outcome, Outcome::Completed);
   }
+}
+
+// A lane runs rank 0 of its jobs on its own thread: rank 0's trace events land
+// on the lane's timeline, the other ranks' on the lane's pool worker.
+TEST(Lifecycle, LaneThreadRunsRankZero) {
+  const trace::Mode saved = trace::mode();
+  trace::set_mode(trace::Mode::Flight);
+  trace::clear_all();
+  std::string rank0_track, rank1_track;
+  {
+    ServerConfig config;
+    config.lanes = 1;
+    JobServer server(config);
+    JobSpec spec = clean_spec();
+    spec.body = [](simrt::Communicator& comm) {
+      trace::emit_instant(comm.rank() == 0 ? "test.rank0" : "test.rank1");
+      clean_body(comm);
+    };
+    EXPECT_TRUE(server.submit(spec).ticket.wait().completed());
+    server.stop();  // the lane has exited: its ring is quiesced
+    for (const auto& t : trace::drain_all()) {
+      for (const auto& e : t.events) {
+        if (std::string_view(e.name) == "test.rank0") rank0_track = t.label;
+        if (std::string_view(e.name) == "test.rank1") rank1_track = t.label;
+      }
+    }
+  }
+  trace::set_mode(saved);
+  trace::clear_all();
+  EXPECT_EQ(rank0_track, "svc-lane 0");
+  EXPECT_EQ(rank1_track, "worker 1");
 }
 
 // --- retry and deadline ------------------------------------------------------

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "simrt/runtime.hpp"
@@ -35,16 +37,39 @@ TEST(Executor, RecordersResetBetweenRuns) {
 }
 
 TEST(Executor, WorkersGrowToLargestJobAndStay) {
+  // The caller runs rank 0, so a P-rank job needs P - 1 pooled workers.
   Executor ex;
   ex.run(2, [](Communicator&) {});
-  EXPECT_EQ(ex.workers(), 2);
+  EXPECT_EQ(ex.workers(), 1);
   ex.run(5, [](Communicator&) {});
-  EXPECT_EQ(ex.workers(), 5);
-  // Smaller jobs reuse the pool; idle ranks sleep through them.
+  EXPECT_EQ(ex.workers(), 4);
+  // Smaller jobs reuse the pool; idle workers sleep through them.
   std::atomic<int> visits{0};
   ex.run(3, [&](Communicator&) { visits.fetch_add(1); });
-  EXPECT_EQ(ex.workers(), 5);
+  EXPECT_EQ(ex.workers(), 4);
   EXPECT_EQ(visits.load(), 3);
+}
+
+// The caller runs rank 0 itself, like a process running its own rank: a
+// 1-rank job needs no worker at all, and the other ranks get one each.
+TEST(Executor, RankZeroRunsOnTheCallingThread) {
+  Executor ex;
+  std::array<std::thread::id, 3> ids;
+  ex.run(3, [&](Communicator& comm) {
+    ids[static_cast<std::size_t>(comm.rank())] = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ids[0], std::this_thread::get_id());
+  EXPECT_NE(ids[1], ids[0]);
+  EXPECT_NE(ids[2], ids[0]);
+  EXPECT_NE(ids[2], ids[1]);
+}
+
+TEST(Executor, OneRankJobStartsNoWorker) {
+  Executor ex;
+  int visits = 0;
+  ex.run(1, [&](Communicator&) { ++visits; });
+  EXPECT_EQ(visits, 1);
+  EXPECT_EQ(ex.workers(), 0);
 }
 
 TEST(Executor, ExceptionDoesNotPoisonPool) {

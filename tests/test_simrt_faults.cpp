@@ -7,6 +7,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <algorithm>
@@ -54,6 +55,30 @@ TEST(Watchdog, AbortsDeadlockedRecvAndNamesTheWait) {
   EXPECT_LT(elapsed, 5s);  // fired by the watchdog, not a test timeout
 }
 
+// Rank 0 runs on the run() caller, so the caller cannot be the scanner: a
+// deadlock that includes rank 0 must still be diagnosed, naming its wait.
+TEST(Watchdog, DiagnosesADeadlockThatIncludesRankZero) {
+  RunOptions options;
+  options.size = 2;
+  options.watchdog = 300ms;
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    run(options, [](Communicator& comm) {
+      int v = 0;
+      comm.recv<int>(1 - comm.rank(), std::span<int>(&v, 1), 3);  // both wait
+    });
+    FAIL() << "deadlocked job returned";
+  } catch (const WatchdogTimeout& e) {
+    const std::string report = e.what();
+    EXPECT_TRUE(contains(report, "rank 0: blocked in wait(irecv) (source 1, tag 3)"))
+        << report;
+    EXPECT_TRUE(contains(report, "rank 1: blocked in wait(irecv) (source 0, tag 3)"))
+        << report;
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, 5s);
+}
+
 // The report must expose the queue state a deadlock post-mortem needs:
 // messages nobody received and receives nobody matched.
 TEST(Watchdog, ReportListsQueuedMessagesAndPendingReceives) {
@@ -94,6 +119,31 @@ TEST(Watchdog, DoesNotFireOnSlowComputation) {
     comm.barrier();
   });
   EXPECT_EQ(result.size(), 2);
+}
+
+TEST(EnvParsers, WatchdogMsAcceptsWholeMillisecondsUpToTheCap) {
+  EXPECT_EQ(detail::watchdog_from_env(nullptr), 0ms);
+  EXPECT_EQ(detail::watchdog_from_env(""), 0ms);
+  EXPECT_EQ(detail::watchdog_from_env("0"), 0ms);
+  EXPECT_EQ(detail::watchdog_from_env("20000"), 20000ms);
+  const std::string cap = std::to_string(detail::kMaxWatchdogMs);
+  EXPECT_EQ(detail::watchdog_from_env(cap.c_str()),
+            std::chrono::milliseconds(detail::kMaxWatchdogMs));
+}
+
+// "5s" used to arm a 5 ms watchdog, "abc" and "-1" to disarm it silently,
+// and 18446744073710 to wrap into a sub-millisecond one.
+TEST(EnvParsers, WatchdogMsRejectsJunkSignsAndValuesAboveTheCap) {
+  const std::string above = std::to_string(detail::kMaxWatchdogMs + 1);
+  for (const char* bad : {"abc", "5s", "-1", "+5", " 5", "1.5", "18446744073710",
+                          "99999999999999999999999", above.c_str()}) {
+    try {
+      (void)detail::watchdog_from_env(bad);
+      ADD_FAILURE() << "accepted VPAR_WATCHDOG_MS='" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_TRUE(contains(e.what(), "whole number of milliseconds")) << e.what();
+    }
+  }
 }
 
 // --- cooperative abort -------------------------------------------------------
@@ -460,6 +510,36 @@ TEST(Deadline, AbortsRunningJobAndNamesTheOverrun) {
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed, 5s);  // killed by the deadline, not a test timeout
+}
+
+// Rank 0 computes on the caller's thread between communication calls; the
+// deadline is enforced from elsewhere and the abort reaches rank 0 at its
+// next call.
+TEST(Deadline, AbortsRankZeroComputingOnTheCaller) {
+  RunOptions options;
+  options.size = 2;
+  options.deadline = std::chrono::steady_clock::now() + 100ms;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> rank0_on_caller{false};
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    run(options, [&](Communicator& comm) {
+      if (comm.rank() == 0) {
+        rank0_on_caller = std::this_thread::get_id() == caller;
+      }
+      // About 10 s of steps unless the deadline cuts them short.
+      for (int step = 0; step < 10'000; ++step) {
+        if (comm.rank() == 0) std::this_thread::sleep_for(1ms);
+        comm.barrier();
+      }
+    });
+    FAIL() << "job survived its deadline";
+  } catch (const DeadlineExceeded& e) {
+    EXPECT_TRUE(contains(e.what(), "deadline")) << e.what();
+  }
+  EXPECT_TRUE(rank0_on_caller.load());
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, 5s);
 }
 
 TEST(Deadline, GenerousDeadlineDoesNotPerturbTheJob) {

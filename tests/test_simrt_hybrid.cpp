@@ -19,6 +19,7 @@
 #include "lbmhd/simulation.hpp"
 #include "simrt/parallel.hpp"
 #include "simrt/runtime.hpp"
+#include "trace/trace.hpp"
 
 namespace vpar::simrt {
 namespace {
@@ -103,6 +104,58 @@ TEST(ParallelFor, WidthSeesIdleHelpersInsideARank) {
     if (comm.rank() == 0) width = parallel_width();
   });
   EXPECT_EQ(width, 1);
+}
+
+// Workers that ran ranks of one job park where the loops of a later, smaller
+// job reach them: a 1-rank job after a 4-rank job is helped by all three.
+TEST(ParallelFor, WorkersThatRanRanksHelpALaterSmallerJob) {
+  ModeGuard guard(HybridMode::On);
+  Executor executor;
+  executor.run(4, [](Communicator&) {});
+  std::atomic<int> arrived{0};
+  const RunResult result = executor.run(1, [&](Communicator&) {
+    parallel_for(0, 2, 1, [&](std::size_t, std::size_t) {
+      // The first chunk holds its thread until a second thread claims the
+      // other one; it gives up after a while so a missing helper fails the
+      // test instead of hanging it.
+      arrived.fetch_add(1);
+      const auto give_up = std::chrono::steady_clock::now() + 10s;
+      while (arrived.load() < 2 && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+    });
+  });
+  EXPECT_GT(result.merged.helper_chunks(), 0.0);
+}
+
+// Rank 0 runs on the thread that called run(), so a nested run inside it
+// must hand that thread's own context back: the loop-service state that
+// parallel_width reads and the trace rank.
+TEST(ParallelFor, NestedRunRestoresTheCallersContext) {
+  ModeGuard guard(HybridMode::On);
+  warm_pool();
+  int width_before = 0, width_after = 0, inner_width = 0;
+  int rank_before = -2, rank_after = -2, inner_rank = -2;
+  run(2, [&](Communicator& comm) {
+    if (comm.rank() != 0) return;
+    width_before = parallel_width();
+    rank_before = trace::thread_rank();
+    run(1, [&](Communicator&) {
+      inner_width = parallel_width();
+      inner_rank = trace::thread_rank();
+    });
+    width_after = parallel_width();
+    rank_after = trace::thread_rank();
+  });
+  EXPECT_GE(width_before, 2);  // pool of 7, job of 2: helpers are idle
+  EXPECT_EQ(width_after, width_before);
+  EXPECT_EQ(rank_before, 0);
+  EXPECT_EQ(rank_after, 0);
+  EXPECT_EQ(inner_width, 1);  // the nested job's private pool has no helpers
+  EXPECT_EQ(inner_rank, 0);
+  // The caller itself is outside any rank again.
+  EXPECT_EQ(parallel_width(), 1);
+  EXPECT_EQ(trace::thread_rank(), -1);
 }
 
 TEST(ParallelFor, HelpersServeChunksAndAttributeToOwningRank) {
@@ -217,6 +270,51 @@ TEST(ParallelFor, WatchdogFiresWhileOwnerWaitsOnAStuckHelper) {
   EXPECT_LT(elapsed, 10s);
   const RunResult after = run(2, [](Communicator&) {});
   EXPECT_EQ(after.size(), 2);
+}
+
+// A RunOptions::watchdog too long for nanoseconds saturates. It used to wrap
+// to a sub-millisecond timeout that aborted this healthy job while its owner
+// waited in the loop latch for a helper's 60 ms chunk.
+TEST(ParallelFor, HugeWatchdogDoesNotAbortAHealthyJob) {
+  ModeGuard guard(HybridMode::On);
+  Executor executor;
+  executor.run(2, [](Communicator&) {});  // one idle helper for a 1-rank job
+  std::latch rendezvous(2);
+  RunOptions options;
+  options.size = 1;
+  options.watchdog = std::chrono::milliseconds(18'446'744'073'710);
+  const RunResult result = executor.run(options, [&](Communicator&) {
+    const std::thread::id owner = std::this_thread::get_id();
+    parallel_for(0, 2, 1, [&](std::size_t, std::size_t) {
+      rendezvous.arrive_and_wait();
+      if (std::this_thread::get_id() != owner) std::this_thread::sleep_for(60ms);
+    });
+  });
+  EXPECT_EQ(result.size(), 1);
+  EXPECT_GE(result.merged.helper_chunks(), 1.0);
+}
+
+// --- environment parser ------------------------------------------------------
+
+TEST(EnvParsers, HybridModeAcceptsItsFiveSpellings) {
+  EXPECT_EQ(detail::hybrid_mode_from_env(nullptr), HybridMode::Auto);
+  EXPECT_EQ(detail::hybrid_mode_from_env(""), HybridMode::Auto);
+  EXPECT_EQ(detail::hybrid_mode_from_env("auto"), HybridMode::Auto);
+  EXPECT_EQ(detail::hybrid_mode_from_env("on"), HybridMode::On);
+  EXPECT_EQ(detail::hybrid_mode_from_env("1"), HybridMode::On);
+  EXPECT_EQ(detail::hybrid_mode_from_env("off"), HybridMode::Off);
+  EXPECT_EQ(detail::hybrid_mode_from_env("0"), HybridMode::Off);
+}
+
+TEST(EnvParsers, HybridModeRejectsTyposAndNamesTheAcceptedValues) {
+  for (const char* bad : {"of", "ON", "yes", "2", " on", "on "}) {
+    try {
+      (void)detail::hybrid_mode_from_env(bad);
+      ADD_FAILURE() << "accepted VPAR_HYBRID='" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_TRUE(contains(e.what(), "auto|on|off|1|0")) << e.what();
+    }
+  }
 }
 
 // --- bitwise-identical application results ----------------------------------
