@@ -17,7 +17,7 @@ JOBS="${1:-2}"
 
 TSAN_TESTS=(test_simrt test_simrt_stress test_simrt_nonblocking test_simrt_executor
             test_simrt_faults test_simrt_hybrid test_trace test_service test_transport
-            test_simd test_simd_equivalence test_part test_qcd)
+            test_simd test_simd_equivalence test_part test_qcd test_lbmhd_physics)
 ASAN_TESTS=(test_simd test_simd_equivalence test_qcd
             test_simrt test_simrt_stress test_simrt_nonblocking test_simrt_executor
             test_simrt_faults test_simrt_hybrid test_service test_part test_trace

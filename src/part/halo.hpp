@@ -14,16 +14,23 @@
 
 namespace vpar::part {
 
-/// Ghost widths per axis plus the base of the user-tag range a schedule may
-/// use. A schedule consumes tags [base_tag, base_tag + 2N): data moving in
-/// the + direction along axis a rides tag base_tag + 2a, the - direction
-/// base_tag + 2a + 1, so opposite-direction traffic between the same pair of
-/// ranks never cross-matches (and a rank that is its own neighbor finds the
-/// ghost box of each face it copies by the same tag).
+/// Ghost widths per axis, the base of the user-tag range a schedule may
+/// use, and whether the stencil reads edge and corner ghosts. A schedule
+/// consumes tags [base_tag, base_tag + 2N): data moving in the + direction
+/// along axis a rides tag base_tag + 2a, the - direction base_tag + 2a + 1,
+/// so opposite-direction traffic between the same pair of ranks never
+/// cross-matches (and a rank that is its own neighbor finds the ghost box of
+/// each face it copies by the same tag).
 template <std::size_t N>
 struct HaloSpec {
   Extent<N> width{};
   int base_tag = 0;
+  /// True for a stencil that reads ghosts off more than one axis at once
+  /// (LBMHD's D2Q9 diagonals, Cactus's mixed derivatives): the axes are
+  /// swept in phases that carry edge and corner values. False for one that
+  /// reads only the 2N axis neighbours of a cell (QCD's Dslash): one phase
+  /// of interior-only faces, and edge and corner ghosts are never written.
+  bool corners = true;
 };
 
 /// Memory layout of one ghost-extended local tile: axis 0 contiguous,
@@ -77,9 +84,12 @@ struct HaloMessage {
   Box<N> box{};
 };
 
-/// One axis sweep. Boxes of axes already swept span their ghosts, so corner
-/// and edge values propagate across phases without dedicated diagonal
-/// messages — the idiom both the LBMHD and Cactus hand-rolled exchanges used.
+/// One phase: the faces exchanged between two completions. With corners,
+/// one axis sweep whose boxes span the ghosts of the axes already swept, so
+/// corner and edge values propagate across phases without dedicated
+/// diagonal messages — the idiom both the LBMHD and Cactus hand-rolled
+/// exchanges used. Without, the faces of every axis at once, and `axis` is
+/// the first axis with a face.
 template <std::size_t N>
 struct HaloPhase {
   std::size_t axis = 0;
@@ -87,9 +97,17 @@ struct HaloPhase {
   std::vector<HaloMessage<N>> recvs;
 };
 
+/// One rank's planned exchange. It also keeps the receive buffer of its
+/// cross-rank faces between exchanges, so that after the first call
+/// exchange_halo neither allocates nor zero-fills a buffer per receive.
+/// That makes a schedule single-user: one rank exchanges with it at a time
+/// (every rank plans its own).
 template <std::size_t N>
 struct HaloSchedule {
   std::vector<HaloPhase<N>> phases;
+  /// The cross-rank receives of every phase back to back, in schedule
+  /// order; exchange_halo grows it to the largest plane count it has seen.
+  mutable std::vector<double> inbox;
 
   /// Elements sent per exchanged plane (both directions, all phases).
   [[nodiscard]] std::size_t send_elements_per_plane() const {
@@ -101,13 +119,14 @@ struct HaloSchedule {
   }
 };
 
-/// Plan rank `rank`'s halo exchange under `partition`: one phase per axis
-/// with nonzero ghost width, swept in axis order. Each phase sends the rank's
-/// two boundary faces to its ± neighbors and receives the matching faces into
-/// its ghost shells; faces are skipped at non-periodic domain boundaries
-/// (neighbor() == -1). A send in the + direction pairs with the peer's
-/// - ghost receive under the same tag, so schedules of neighboring ranks
-/// always pair up message-for-message.
+/// Plan rank `rank`'s halo exchange under `partition`. Every axis with
+/// nonzero ghost width sends the rank's two boundary faces to its ±
+/// neighbors and receives the matching faces into its ghost shells; faces
+/// are skipped at non-periodic domain boundaries (neighbor() == -1). With
+/// spec.corners each such axis is one phase, swept in axis order; without,
+/// all faces are interior-only and share one phase. A send in the +
+/// direction pairs with the peer's - ghost receive under the same tag, so
+/// schedules of neighboring ranks always pair up message-for-message.
 ///
 /// Throws std::invalid_argument when a ghost width exceeds the local extent
 /// on an axis that has a neighbor: that face would include ghosts of the
@@ -123,12 +142,13 @@ template <std::size_t N>
     HaloPhase<N> phase;
     phase.axis = axis;
 
-    // Base box: swept axes span their ghosts, later axes interior only.
+    // Base box: with corners, swept axes span their ghosts; every other
+    // axis is interior only.
     Box<N> base;
     for (std::size_t b = 0; b < N; ++b) {
       const auto nb = static_cast<std::ptrdiff_t>(n[b]);
       const auto gb = static_cast<std::ptrdiff_t>(spec.width[b]);
-      if (b < axis) {
+      if (spec.corners && b < axis) {
         base.lo[b] = -gb;
         base.hi[b] = nb + gb;
       } else {
@@ -174,8 +194,13 @@ template <std::size_t N>
       box.hi[axis] = g;
       phase.sends.push_back({minus, tag_minus, box});
     }
-    if (!phase.sends.empty() || !phase.recvs.empty()) {
+    if (phase.sends.empty() && phase.recvs.empty()) continue;
+    if (spec.corners || schedule.phases.empty()) {
       schedule.phases.push_back(std::move(phase));
+    } else {  // corner-free: this axis's faces join the one phase
+      HaloPhase<N>& one = schedule.phases.back();
+      one.recvs.insert(one.recvs.end(), phase.recvs.begin(), phase.recvs.end());
+      one.sends.insert(one.sends.end(), phase.sends.begin(), phase.sends.end());
     }
   }
   return schedule;
@@ -249,34 +274,45 @@ void copy_box(const TileLayout<N>& layout, const Box<N>& from, const Box<N>& to,
 }  // namespace detail
 
 /// Execute a planned halo exchange for a set of equally-shaped planes.
-/// Per phase: the receives are posted, every send is packed plane-major /
-/// row-major and handed off by move, and the phase completes inside one
-/// perf::OverlapScope so the network model costs the traffic as overlapped.
-/// A self-peer face (peer == comm.rank(): a periodic axis the rank grid does
-/// not split) is no message: it is copied straight into the ghost box of the
-/// receive with the same tag, so comm.* and the comm profile see only
-/// cross-rank faces, while part.halo_bytes counts every face.
-/// The phase barrier between axes is the data dependence that carries corner
-/// values; there is no other synchronization.
+/// Per phase: the receives are posted into the schedule's inbox, every send
+/// is packed plane-major / row-major and handed off by move, and the phase
+/// completes inside one perf::OverlapScope so the network model costs the
+/// traffic as overlapped. A self-peer face (peer == comm.rank(): a periodic
+/// axis the rank grid does not split) is no message: it is copied straight
+/// into the ghost box of the receive with the same tag, so comm.* and the
+/// comm profile see only cross-rank faces, while part.halo_bytes counts
+/// every face.
+/// With corners, the phase barrier between axes is the data dependence that
+/// carries corner values; there is no other synchronization.
 template <std::size_t N>
 void exchange_halo(simrt::Communicator& comm, const HaloSchedule<N>& schedule,
                    const TileLayout<N>& layout,
                    std::span<double* const> planes) {
   detail::note_exchange();
   const int self = comm.rank();
+  std::size_t inbox_elements = 0;
+  for (const auto& phase : schedule.phases) {
+    for (const auto& r : phase.recvs) {
+      if (r.peer != self) inbox_elements += planes.size() * r.box.volume();
+    }
+  }
+  if (schedule.inbox.size() < inbox_elements) {
+    schedule.inbox.resize(inbox_elements);
+  }
+  double* next = schedule.inbox.data();
   for (const auto& phase : schedule.phases) {
     trace::TraceSpan span("part.exchange",
                           static_cast<std::int64_t>(phase.axis));
     perf::OverlapScope window;
-    std::vector<std::vector<double>> inbox(phase.recvs.size());
+    const double* const phase_inbox = next;
     std::vector<simrt::Request> pending;
     pending.reserve(phase.recvs.size());
-    for (std::size_t i = 0; i < phase.recvs.size(); ++i) {
-      const auto& r = phase.recvs[i];
+    for (const auto& r : phase.recvs) {
       if (r.peer == self) continue;
-      inbox[i].resize(planes.size() * r.box.volume());
+      const std::size_t count = planes.size() * r.box.volume();
       pending.push_back(
-          comm.irecv(r.peer, std::span<double>(inbox[i]), r.tag));
+          comm.irecv(r.peer, std::span<double>(next, count), r.tag));
+      next += count;
     }
     for (const auto& s : phase.sends) {
       detail::note_message(planes.size() * s.box.volume() * sizeof(double));
@@ -293,9 +329,11 @@ void exchange_halo(simrt::Communicator& comm, const HaloSchedule<N>& schedule,
       comm.isend(s.peer, std::move(buf), s.tag).wait();
     }
     simrt::waitall(pending);
-    for (std::size_t i = 0; i < phase.recvs.size(); ++i) {
-      if (phase.recvs[i].peer == self) continue;
-      detail::unpack_box(layout, phase.recvs[i].box, planes, inbox[i].data());
+    const double* in = phase_inbox;
+    for (const auto& r : phase.recvs) {
+      if (r.peer == self) continue;
+      detail::unpack_box(layout, r.box, planes, in);
+      in += planes.size() * r.box.volume();
     }
   }
 }

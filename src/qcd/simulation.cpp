@@ -81,9 +81,11 @@ Simulation::Simulation(simrt::Communicator& comm, const Options& options)
   geom_.layout = part::TileLayout<4>::make(geom_.n, {{1, 1, 1, 1}});
   const part::Index<4> o = half_.origin(comm.rank());
   geom_.origin = {{2 * o[0], o[1], o[2], o[3]}};
+  // The Dslash and diagnostics() read only the 8 axis neighbours of a site:
+  // no edge or corner ghost, so each exchange is one phase.
   schedule_ =
       part::plan_halo(half_, comm.rank(), {part::Extent<4>{{1, 1, 1, 1}},
-                                           kBaseTag});
+                                           kBaseTag, /*corners=*/false});
   even_.assign(kPlanes * geom_.layout.total(), 0.0);
   odd_.assign(kPlanes * geom_.layout.total(), 0.0);
 }

@@ -41,13 +41,13 @@ std::array<double, 4> halo_bytes_per_exchange(const ScalingConfig& c) {
   const double nyl = static_cast<double>(n[1]);
   const double nzl = static_cast<double>(n[2]);
   const double ntl = static_cast<double>(n[3]);
-  // plan_halo grows each phase box by the ghosts of the axes already swept,
-  // so later faces are wider; both directions of an axis send the same face.
+  // The stencil reads no edge or corner ghost, so every face is
+  // interior-only; both directions of an axis send the same face.
   const std::array<double, 4> face = {
       nyl * nzl * ntl,
-      (nxh + 2.0) * nzl * ntl,
-      (nxh + 2.0) * (nyl + 2.0) * ntl,
-      (nxh + 2.0) * (nyl + 2.0) * (nzl + 2.0),
+      nxh * nzl * ntl,
+      nxh * nyl * ntl,
+      nxh * nyl * nzl,
   };
   std::array<double, 4> bytes{};
   for (std::size_t a = 0; a < 4; ++a) {
@@ -84,11 +84,12 @@ arch::AppProfile make_profile(const ScalingConfig& c) {
     app.kernels.record("dslash", rec);
   }
 
-  // --- halo traffic (exchange_halo posts receives before packing, so every
-  // phase is one overlap window; 4 axes, 2 exchanges per step on the
-  // all-periodic torus). Only an axis the rank grid splits sends its 2
-  // faces as messages: on the others a rank is its own neighbor and copies
-  // the faces in place, as it would on a real machine -------------------
+  // --- halo traffic (exchange_halo posts receives before packing, and a
+  // corner-free schedule is one phase, so every exchange is one overlap
+  // window; 2 exchanges per step on the all-periodic torus). Only an axis
+  // the rank grid splits sends its 2 faces as messages: on the others a
+  // rank is its own neighbor and copies the faces in place, as it would on
+  // a real machine ---------------------------------------------------------
   const std::array<double, 4> per_axis = halo_bytes_per_exchange(c);
   double messages = 0.0, bytes = 0.0;
   for (std::size_t a = 0; a < 4; ++a) {
@@ -97,7 +98,7 @@ arch::AppProfile make_profile(const ScalingConfig& c) {
     bytes += 2.0 * per_axis[a] * steps;
   }
   app.comm.record_overlapped(perf::CommKind::PointToPoint, messages, bytes);
-  app.comm.record_overlap_window(8.0 * steps);
+  app.comm.record_overlap_window(2.0 * steps);
 
   // --- the per-step norm allreduce (normalize on) -------------------------
   app.comm.record(perf::CommKind::Reduction, steps, steps * sizeof(double));

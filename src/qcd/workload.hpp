@@ -15,9 +15,9 @@ struct ScalingConfig {
 };
 
 /// Per-axis halo bytes one rank moves per exchange (both directions, all
-/// kPlanes planes), evaluated on the even/odd half lattice the way
-/// part::plan_halo grows the phase boxes axis by axis. Counts the faces a
-/// rank copies to itself on axes the rank grid does not split too;
+/// kPlanes planes), evaluated on the even/odd half lattice: the
+/// interior-only faces of the Simulation's corner-free plan. Counts the
+/// faces a rank copies to itself on axes the rank grid does not split too;
 /// make_profile costs only the split axes as messages.
 [[nodiscard]] std::array<double, 4> halo_bytes_per_exchange(
     const ScalingConfig& config);

@@ -2,25 +2,35 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "simd/simd.hpp"
 #include "trace/metrics.hpp"
 
 namespace vpar::simd {
 
-namespace {
+namespace detail {
 
-DispatchMode mode_from_env() {
-  const char* env = std::getenv("VPAR_SIMD_DISPATCH");
-  if (env == nullptr) return DispatchMode::Auto;
-  if (std::strcmp(env, "scalar") == 0) return DispatchMode::ForceScalar;
-  if (std::strcmp(env, "simd") == 0) return DispatchMode::ForceSimd;
-  return DispatchMode::Auto;
+DispatchMode dispatch_mode_from_env(const char* value) {
+  if (value == nullptr || *value == '\0') return DispatchMode::Auto;
+  const std::string v(value);
+  if (v == "auto") return DispatchMode::Auto;
+  if (v == "scalar") return DispatchMode::ForceScalar;
+  if (v == "simd") return DispatchMode::ForceSimd;
+  throw std::invalid_argument("VPAR_SIMD_DISPATCH='" + v +
+                              "' is not a dispatch mode: expected auto|scalar|simd");
 }
 
+}  // namespace detail
+
+namespace {
+
+/// Seeded from VPAR_SIMD_DISPATCH on first use, not at static
+/// initialization, so a rejected value throws to a caller.
 std::atomic<DispatchMode>& mode_flag() {
-  static std::atomic<DispatchMode> mode{mode_from_env()};
+  static std::atomic<DispatchMode> mode{
+      detail::dispatch_mode_from_env(std::getenv("VPAR_SIMD_DISPATCH"))};
   return mode;
 }
 
@@ -36,11 +46,11 @@ std::size_t detect_width() {
 
 }  // namespace
 
-DispatchMode dispatch_mode() noexcept {
+DispatchMode dispatch_mode() {
   return mode_flag().load(std::memory_order_relaxed);
 }
 
-void set_dispatch_mode(DispatchMode mode) noexcept {
+void set_dispatch_mode(DispatchMode mode) {
   mode_flag().store(mode, std::memory_order_relaxed);
 }
 
@@ -49,7 +59,7 @@ std::size_t preferred_width() noexcept {
   return width;
 }
 
-std::size_t active_width() noexcept {
+std::size_t active_width() {
   if (dispatch_mode() == DispatchMode::ForceScalar) return 1;
   return preferred_width();
 }

@@ -5,14 +5,16 @@
 namespace vpar::simd {
 
 /// Runtime choice between a kernel's scalar reference path and its SIMD path.
-/// Auto follows the VPAR_SIMD_DISPATCH environment variable (`scalar`,
-/// `simd`, or `auto`; unset means auto = use SIMD whenever the build and the
-/// CPU support it). The force modes exist for the equivalence tests and the
-/// wallclock simd probe, which time/compare both paths in one process.
+/// The VPAR_SIMD_DISPATCH environment variable seeds it on first use
+/// (`scalar`, `simd`, or `auto`; unset means auto = use SIMD whenever the
+/// build and the CPU support it); any other value makes that first use
+/// throw std::invalid_argument. The force modes exist for the equivalence
+/// tests and the wallclock simd probe, which time/compare both paths in one
+/// process.
 enum class DispatchMode { Auto, ForceScalar, ForceSimd };
 
-[[nodiscard]] DispatchMode dispatch_mode() noexcept;
-void set_dispatch_mode(DispatchMode mode) noexcept;
+[[nodiscard]] DispatchMode dispatch_mode();
+void set_dispatch_mode(DispatchMode mode);
 
 /// Widest double-lane count the build compiled *and* this CPU executes:
 /// 8 with AVX-512F clones, 4 with AVX clones, 2 for baseline vector code,
@@ -21,10 +23,10 @@ void set_dispatch_mode(DispatchMode mode) noexcept;
 
 /// Width kernels should use right now: preferred_width(), or 1 when the
 /// dispatch mode forces scalar.
-[[nodiscard]] std::size_t active_width() noexcept;
+[[nodiscard]] std::size_t active_width();
 
 /// True when active_width() > 1; kernels branch on this once per call.
-[[nodiscard]] inline bool use_simd() noexcept { return active_width() > 1; }
+[[nodiscard]] inline bool use_simd() { return active_width() > 1; }
 
 /// Compile-time width cap of this build (the effective VPAR_SIMD setting).
 [[nodiscard]] std::size_t compiled_width_cap() noexcept;
@@ -57,5 +59,13 @@ void record_span(std::size_t width, std::size_t vector_iters,
 void record_spans(std::size_t width, std::size_t spans,
                   std::size_t vector_iters_per_span,
                   std::size_t remainder) noexcept;
+
+namespace detail {
+/// The DispatchMode a VPAR_SIMD_DISPATCH value selects: auto|scalar|simd;
+/// null or empty is Auto. Anything else throws std::invalid_argument naming
+/// the accepted values. The parser behind the first-use read, exposed for
+/// tests.
+[[nodiscard]] DispatchMode dispatch_mode_from_env(const char* value);
+}  // namespace detail
 
 }  // namespace vpar::simd

@@ -31,7 +31,10 @@ double shear_wave_ke(double tau, int steps, std::size_t n) {
       return m;
     });
     sim.run(steps);
-    ke = sim.diagnostics().kinetic_energy;
+    // diagnostics() is collective: both ranks call it, rank 0 alone writes
+    // the captured result (two writers would race).
+    const double rank_ke = sim.diagnostics().kinetic_energy;
+    if (comm.rank() == 0) ke = rank_ke;
   });
   return ke;
 }

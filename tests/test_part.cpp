@@ -3,7 +3,9 @@
 // halo schedule send/recv pairing — property-tested across world sizes 1–16
 // including non-power-of-two worlds and degenerate 1-wide axes — plus
 // end-to-end ghost-fill checks of exchange_halo over the simrt runtime,
-// with self-peer faces copied in place rather than sent.
+// with self-peer faces copied in place rather than sent, and corner-free
+// one-phase plans that leave edge and corner ghosts unwritten and receive
+// into buffers the schedule keeps.
 
 #include <gtest/gtest.h>
 
@@ -344,6 +346,60 @@ TEST(HaloSchedule, RejectsGhostWidthAboveLocalExtent) {
   EXPECT_TRUE(sched.phases.empty());
 }
 
+/// The rank grids the corner-free cases run: P = 1, 2 and 4, each leaving at
+/// least one axis unsplit, so every world has self-peer faces (P = 4 is
+/// qcd_halo's 1x2x1x2).
+const std::vector<std::array<int, 4>> kCornerFreeGrids = {
+    {1, 1, 1, 1}, {1, 2, 1, 1}, {1, 2, 1, 2}};
+
+TEST(HaloSchedule, CornerFreePlanIsOnePhaseOfInteriorFaces) {
+  const Extent<4> global{{4, 6, 2, 8}};
+  const HaloSpec<4> spec{Extent<4>{{1, 1, 1, 1}}, 300, /*corners=*/false};
+  for (const auto& dims : kCornerFreeGrids) {
+    const BlockPartition<4> p(global, dims, {true, true, true, true});
+    for (int r = 0; r < p.size(); ++r) {
+      const auto sched = plan_halo(p, r, spec);
+      ASSERT_EQ(sched.phases.size(), 1u) << "P=" << p.size();
+      const auto& phase = sched.phases[0];
+      EXPECT_EQ(phase.sends.size(), 8u);
+      EXPECT_EQ(phase.recvs.size(), 8u);
+      const Extent<4> n = p.local_extent(r);
+      for (const auto* messages : {&phase.sends, &phase.recvs}) {
+        for (const auto& m : *messages) {
+          // The tag names the axis; off it, the box is the interior.
+          const auto axis = static_cast<std::size_t>(m.tag - spec.base_tag) / 2;
+          for (std::size_t b = 0; b < 4; ++b) {
+            if (b == axis) continue;
+            EXPECT_EQ(m.box.lo[b], 0) << "axis " << axis << " box axis " << b;
+            EXPECT_EQ(m.box.hi[b], static_cast<std::ptrdiff_t>(n[b]))
+                << "axis " << axis << " box axis " << b;
+          }
+        }
+      }
+    }
+    expect_send_recv_pairing(p, spec);
+    // The default plan of the same world keeps one phase per axis.
+    EXPECT_EQ(plan_halo(p, 0, HaloSpec<4>{spec.width, spec.base_tag}).phases.size(), 4u);
+  }
+}
+
+TEST(HaloSchedule, CornerFreePlanKeepsGhostWidthGuard) {
+  // Same worlds as RejectsGhostWidthAboveLocalExtent, without corners.
+  const BlockPartition<1> self(Extent<1>{{3}}, {1}, {true});
+  EXPECT_THROW(static_cast<void>(plan_halo(self, 0, HaloSpec<1>{Extent<1>{{4}}, 0, false})),
+               std::invalid_argument);
+  EXPECT_NO_THROW(
+      static_cast<void>(plan_halo(self, 0, HaloSpec<1>{Extent<1>{{3}}, 0, false})));
+  const BlockPartition<1> pair(Extent<1>{{2}}, {2}, {false});
+  EXPECT_THROW(static_cast<void>(plan_halo(pair, 0, HaloSpec<1>{Extent<1>{{2}}, 0, false})),
+               std::invalid_argument);
+  // A 2D block 1 cell tall with 2-deep ghosts on a split axis.
+  const BlockPartition<2> thin(Extent<2>{{8, 2}}, {1, 2}, {true, true});
+  EXPECT_THROW(
+      static_cast<void>(plan_halo(thin, 0, HaloSpec<2>{Extent<2>{{1, 2}}, 0, false})),
+      std::invalid_argument);
+}
+
 // --- layout -----------------------------------------------------------------
 
 TEST(TileLayout, MatchesGridFunctionsAddressing) {
@@ -575,6 +631,87 @@ TEST(ExchangeHalo, SelfPeerFacesMoveWithoutMessages) {
     elements += plan_halo(two, r, spec2).send_elements_per_plane();
   }
   EXPECT_EQ(halo_bytes.value() - before, kWrapPlanes * sizeof(double) * elements);
+}
+
+/// Fill the interior of kWrapPlanes planes of a 4D periodic tile with
+/// global_code and the ghosts with a sentinel, run one exchange with
+/// `sched`, and check the tile: every face ghost (outside the interior on
+/// exactly one axis) holds its wrapped global value, every edge or corner
+/// ghost still holds the sentinel.
+void corner_free_exchange_checks(simrt::Communicator& comm, const BlockPartition<4>& p,
+                                 const HaloSchedule<4>& sched) {
+  constexpr double kSentinel = -1.0;
+  const int rank = comm.rank();
+  const Extent<4> n = p.local_extent(rank);
+  const Index<4> o = p.origin(rank);
+  const auto layout = TileLayout<4>::make(n, Extent<4>{{1, 1, 1, 1}});
+  Box<4> interior, tile;
+  for (std::size_t a = 0; a < 4; ++a) {
+    interior.hi[a] = static_cast<std::ptrdiff_t>(n[a]);
+    tile.lo[a] = -1;
+    tile.hi[a] = static_cast<std::ptrdiff_t>(n[a]) + 1;
+  }
+  const auto wrapped = [&](Index<4> l) {
+    for (std::size_t a = 0; a < 4; ++a) {
+      const auto m = static_cast<std::ptrdiff_t>(p.global()[a]);
+      l[a] = ((o[a] + l[a]) % m + m) % m;
+    }
+    return l;
+  };
+  std::vector<std::vector<double>> storage(
+      kWrapPlanes, std::vector<double>(layout.total(), kSentinel));
+  std::vector<double*> planes;
+  for (auto& st : storage) planes.push_back(st.data());
+  const auto for_each_cell = [](const Box<4>& box, const auto& fn) {
+    detail::for_each_row<4>(box, [&](Index<4> cell, std::size_t len) {
+      for (std::size_t i = 0; i < len; ++i, ++cell[0]) fn(cell);
+    });
+  };
+  for (std::size_t pl = 0; pl < kWrapPlanes; ++pl) {
+    for_each_cell(interior, [&](const Index<4>& cell) {
+      storage[pl][layout.offset(cell)] = global_code<4>(wrapped(cell), p.global(), pl);
+    });
+  }
+
+  exchange_halo(comm, sched, layout, planes);
+
+  for (std::size_t pl = 0; pl < kWrapPlanes; ++pl) {
+    for_each_cell(tile, [&](const Index<4>& cell) {
+      int outside = 0;
+      for (std::size_t a = 0; a < 4; ++a) {
+        outside += cell[a] < 0 || cell[a] >= static_cast<std::ptrdiff_t>(n[a]) ? 1 : 0;
+      }
+      const double want =
+          outside <= 1 ? global_code<4>(wrapped(cell), p.global(), pl) : kSentinel;
+      EXPECT_EQ(storage[pl][layout.offset(cell)], want)
+          << "P=" << p.size() << " rank " << rank << " plane " << pl << " cell ("
+          << cell[0] << "," << cell[1] << "," << cell[2] << "," << cell[3] << ")";
+    });
+  }
+}
+
+TEST(ExchangeHalo, CornerFreeFillsFacesIntoBuffersTheScheduleKeeps) {
+  const Extent<4> global{{4, 6, 2, 8}};
+  const HaloSpec<4> spec{Extent<4>{{1, 1, 1, 1}}, 300, /*corners=*/false};
+  for (const auto& dims : kCornerFreeGrids) {
+    const BlockPartition<4> p(global, dims, {true, true, true, true});
+    simrt::run(p.size(), [&](simrt::Communicator& comm) {
+      const int rank = comm.rank();
+      const auto sched = plan_halo(p, rank, spec);
+      std::size_t cross_rank = 0;
+      for (const auto& r : sched.phases[0].recvs) {
+        if (r.peer != rank) cross_rank += kWrapPlanes * r.box.volume();
+      }
+      corner_free_exchange_checks(comm, p, sched);
+      const double* inbox = sched.inbox.data();
+      EXPECT_EQ(sched.inbox.size(), cross_rank) << "P=" << p.size();
+      // A second exchange with the same schedule receives into the same
+      // buffer, and fills every face again.
+      corner_free_exchange_checks(comm, p, sched);
+      EXPECT_EQ(sched.inbox.data(), inbox) << "P=" << p.size();
+      EXPECT_EQ(sched.inbox.size(), cross_rank) << "P=" << p.size();
+    });
+  }
 }
 
 }  // namespace

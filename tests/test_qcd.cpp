@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "qcd/lattice.hpp"
@@ -9,6 +11,7 @@
 #include "simd/dispatch.hpp"
 #include "simrt/parallel.hpp"
 #include "simrt/runtime.hpp"
+#include "trace/metrics.hpp"
 
 namespace vpar::qcd {
 namespace {
@@ -258,6 +261,34 @@ TEST(Workload, HaloBytesShrinkPerRankAsConcurrencyGrows) {
     t16 += sixteen[a];
   }
   EXPECT_LT(t16, t1);
+}
+
+TEST(Workload, QcdHaloStepMovesPinnedCounts) {
+  // The benchmark's qcd_halo shape: 16^3 x 32 at P = 4 on a 1x2x1x2 grid,
+  // normalize on. A step is two one-phase exchanges of interior-only faces:
+  // each rank sends its 4 y and t faces as messages (2 x (2,048 + 1,024)
+  // sites x kPlanes doubles per exchange) and copies its x and z faces in
+  // place; part.halo_bytes counts all 8 faces of every rank.
+  Options opt;
+  opt.nx = 16;
+  opt.ny = 16;
+  opt.nz = 16;
+  opt.nt = 32;
+  opt.normalize = true;
+  ASSERT_EQ(Simulation::resolve_dims(opt, 4), (std::array<int, 4>{1, 2, 1, 2}));
+  auto& halo_bytes = trace::Metrics::instance().counter("part.halo_bytes");
+  const std::uint64_t before = halo_bytes.value();
+  const auto result = simrt::run(4, [&](simrt::Communicator& comm) {
+    Simulation sim(comm, opt);
+    sim.initialize();
+    sim.step();
+  });
+  EXPECT_EQ(halo_bytes.value() - before, 4'718'592u);
+  ASSERT_EQ(result.per_rank.size(), 4u);
+  for (const auto& rank : result.per_rank) {
+    EXPECT_EQ(rank.comm().bytes(perf::CommKind::PointToPoint), 589'824.0);
+    EXPECT_EQ(rank.comm().messages(perf::CommKind::PointToPoint), 8.0);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <cstddef>
 #include <cstring>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "simd/dispatch.hpp"
@@ -226,6 +228,26 @@ TEST(SimdDispatch, ForceModesOverrideWidth) {
   set_dispatch_mode(DispatchMode::Auto);
   EXPECT_EQ(active_width(), preferred_width());
   set_dispatch_mode(prev);
+}
+
+TEST(SimdDispatch, EnvParserAcceptsItsThreeSpellings) {
+  EXPECT_EQ(detail::dispatch_mode_from_env(nullptr), DispatchMode::Auto);
+  EXPECT_EQ(detail::dispatch_mode_from_env(""), DispatchMode::Auto);
+  EXPECT_EQ(detail::dispatch_mode_from_env("auto"), DispatchMode::Auto);
+  EXPECT_EQ(detail::dispatch_mode_from_env("scalar"), DispatchMode::ForceScalar);
+  EXPECT_EQ(detail::dispatch_mode_from_env("simd"), DispatchMode::ForceSimd);
+}
+
+TEST(SimdDispatch, EnvParserRejectsTyposAndNamesTheAcceptedValues) {
+  for (const char* bad : {"scaler", "SIMD", "off", "0", " simd", "simd "}) {
+    try {
+      (void)detail::dispatch_mode_from_env(bad);
+      ADD_FAILURE() << "accepted VPAR_SIMD_DISPATCH='" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("auto|scalar|simd"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SimdDispatch, IsaNamesAreStable) {
