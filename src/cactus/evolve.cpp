@@ -286,15 +286,14 @@ std::vector<double> Evolution::gather(int field) {
 
   std::vector<double> global(total);
   for (int r = 0; r < comm_->size(); ++r) {
-    const Decomp3D rd(decomp_.n[0], decomp_.n[1], decomp_.n[2], decomp_.p[0],
-                      decomp_.p[1], decomp_.p[2], r, decomp_.periodic);
+    const part::Index<3> o = decomp_.partition.origin(r);
     const double* block = flat.data() + static_cast<std::size_t>(r) * local.size();
     for (std::size_t k = 0; k < nzl; ++k) {
       for (std::size_t j = 0; j < nyl; ++j) {
         for (std::size_t i = 0; i < nxl; ++i) {
-          const std::size_t gx = rd.origin(0) + i;
-          const std::size_t gy = rd.origin(1) + j;
-          const std::size_t gz = rd.origin(2) + k;
+          const std::size_t gx = static_cast<std::size_t>(o[0]) + i;
+          const std::size_t gy = static_cast<std::size_t>(o[1]) + j;
+          const std::size_t gz = static_cast<std::size_t>(o[2]) + k;
           global[(gz * decomp_.n[1] + gy) * decomp_.n[0] + gx] =
               block[(k * nyl + j) * nxl + i];
         }

@@ -32,6 +32,9 @@ Decomp3D::Decomp3D(std::size_t nx, std::size_t ny, std::size_t nz, int px, int p
       throw std::runtime_error("Decomp3D: local block smaller than ghost width");
     }
   }
+  const auto g = static_cast<std::size_t>(G);
+  halo = part::plan_halo(partition, rank,
+                         part::HaloSpec<3>{{{g, g, g}}, kHaloTagBase});
 }
 
 int Decomp3D::rank_of(int ci, int cj, int ck) const {
@@ -53,14 +56,11 @@ void exchange_ghosts(simrt::Communicator& comm, const Decomp3D& d,
   const std::size_t g = static_cast<std::size_t>(G);
   const part::TileLayout<3> layout =
       part::TileLayout<3>::make({{d.nl[0], d.nl[1], d.nl[2]}}, {{g, g, g}});
-  const auto schedule =
-      part::plan_halo(d.partition, d.rank(), {part::Extent<3>{{g, g, g}},
-                                              kHaloTagBase});
 
   std::vector<double*> fields;
   fields.reserve(static_cast<std::size_t>(gf.nfields()));
   for (int f = 0; f < gf.nfields(); ++f) fields.push_back(gf.field(f));
-  part::exchange_halo(comm, schedule, layout,
+  part::exchange_halo(comm, d.halo, layout,
                       std::span<double* const>(fields.data(), fields.size()));
 }
 

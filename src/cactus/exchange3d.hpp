@@ -4,6 +4,7 @@
 #include <cstddef>
 
 #include "cactus/grid.hpp"
+#include "part/halo.hpp"
 #include "part/partition.hpp"
 #include "simrt/communicator.hpp"
 
@@ -25,6 +26,9 @@ struct Decomp3D {
   std::size_t nl[3];  ///< local extents
   bool periodic;
   part::BlockPartition<3> partition;  ///< the decomposition behind the above
+  /// This rank's ghost exchange, planned once: exchange_ghosts reuses it
+  /// and the receive buffers it keeps.
+  part::HaloSchedule<3> halo;
 
   [[nodiscard]] int rank() const { return partition.rank_of({c[0], c[1], c[2]}); }
   [[nodiscard]] int rank_of(int ci, int cj, int ck) const;

@@ -46,11 +46,17 @@ inline constexpr std::size_t kHybridDepositChunks = 8;
 /// exact (Sterbenz) and equals the exact fmod; for v in (-n, 0), fmod(v, n)
 /// == v exactly, so both forms compute the same v + n.
 inline double wrap_periodic(double v, double n) {
+  // For v in (-ulp(n)/2, 0), v + n rounds to n itself: map it to its
+  // periodic image 0.0 so the result stays in [0, n).
+  auto add_period = [n](double neg) {
+    const double w = neg + n;
+    return w < n ? w : 0.0;
+  };
   if (v >= 0.0 && v < n) return v;
   if (v >= n && v < n + n) return v - n;
-  if (v < 0.0 && v >= -n) return v + n;
+  if (v < 0.0 && v >= -n) return add_period(v);
   v = std::fmod(v, n);
-  return v < 0.0 ? v + n : v;
+  return v < 0.0 ? add_period(v) : v;
 }
 
 /// Gyro-averaged 4-point deposition stencil of one marker: the charge ring

@@ -45,6 +45,9 @@ Decomp2D::Decomp2D(std::size_t nx_in, std::size_t ny_in, int px_in, int py_in,
   if (nxl < 2 * G || nyl < 2 * G) {
     throw std::runtime_error("Decomp2D: local block smaller than ghost width");
   }
+  const auto g = static_cast<std::size_t>(G);
+  halo = part::plan_halo(partition, rank,
+                         part::HaloSpec<2>{{{g, g}}, kHaloTagBase});
 }
 
 void exchange_mpi(simrt::Communicator& comm, const Decomp2D& d, FieldSet& fields) {
@@ -59,14 +62,10 @@ void exchange_mpi(simrt::Communicator& comm, const Decomp2D& d, FieldSet& fields
   // machine models credit on platforms with asynchronous progress.
   part::TileLayout<2> layout = part::TileLayout<2>::make(
       {{nxl, nyl}}, {{static_cast<std::size_t>(G), static_cast<std::size_t>(G)}});
-  const part::HaloSpec<2> spec{
-      {{static_cast<std::size_t>(G), static_cast<std::size_t>(G)}},
-      kHaloTagBase};
-  const auto schedule = part::plan_halo(d.partition, d.rank(), spec);
 
   std::array<double*, FieldSet::kPlanes> planes{};
   for (int p = 0; p < FieldSet::kPlanes; ++p) planes[static_cast<std::size_t>(p)] = fields.plane(p);
-  part::exchange_halo(comm, schedule, layout,
+  part::exchange_halo(comm, d.halo, layout,
                       std::span<double* const>(planes.data(), planes.size()));
 
   // Buffer packing/unpacking is user-level copy traffic the CAF port avoids

@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "lbmhd/field_set.hpp"
+#include "part/halo.hpp"
 #include "part/partition.hpp"
 #include "simrt/coarray.hpp"
 #include "simrt/communicator.hpp"
@@ -22,6 +23,9 @@ struct Decomp2D {
   int pi, pj;            ///< this rank's coordinates (pi: x, pj: y)
   std::size_t nxl, nyl;  ///< local extents
   part::BlockPartition<2> partition;  ///< the torus behind the fields above
+  /// This rank's ghost exchange, planned once: exchange_mpi reuses it and
+  /// the receive buffers it keeps.
+  part::HaloSchedule<2> halo;
 
   [[nodiscard]] int rank() const { return partition.rank_of({pi, pj}); }
   [[nodiscard]] int rank_of(int ci, int cj) const {

@@ -207,12 +207,14 @@ std::vector<double> Simulation::gather(Field which) {
   // Reassemble rank-ordered blocks into the global row-major field.
   std::vector<double> global(decomp_.nx * decomp_.ny);
   for (int r = 0; r < comm_->size(); ++r) {
-    const Decomp2D rd(decomp_.nx, decomp_.ny, decomp_.px, decomp_.py, r);
+    const part::Index<2> o = decomp_.partition.origin(r);
+    const auto x0 = static_cast<std::size_t>(o[0]);
+    const auto y0 = static_cast<std::size_t>(o[1]);
     const double* block = flat.data() +
                           static_cast<std::size_t>(r) * decomp_.nxl * decomp_.nyl;
-    for (std::size_t j = 0; j < rd.nyl; ++j) {
-      for (std::size_t i = 0; i < rd.nxl; ++i) {
-        global[(rd.y0() + j) * decomp_.nx + (rd.x0() + i)] = block[j * rd.nxl + i];
+    for (std::size_t j = 0; j < decomp_.nyl; ++j) {
+      for (std::size_t i = 0; i < decomp_.nxl; ++i) {
+        global[(y0 + j) * decomp_.nx + (x0 + i)] = block[j * decomp_.nxl + i];
       }
     }
   }

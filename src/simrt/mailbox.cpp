@@ -97,7 +97,7 @@ void Mailbox::complete_locked(RequestState& rs, const Message& msg) {
   } else if (!rs.dest.empty()) {
     std::memcpy(rs.dest.data(), msg.payload.data(), rs.dest.size());
   }
-  rs.complete = true;
+  rs.complete.store(true, std::memory_order_release);
   rs.cv.notify_all();
 }
 
@@ -133,12 +133,15 @@ void Mailbox::deliver(Message msg) {
     }
     queue_.insert(pos, std::move(msg));
   }
+  // After the unlock, so a poller that sees the bump finds the lock free.
+  arrivals_.fetch_add(1, std::memory_order_relaxed);
   cv_.notify_all();
 }
 
 Message Mailbox::receive(int source, int tag, const char* what) {
   std::unique_lock lock(mutex_);
   BlockGuard guard;
+  WaitPoll poll(control_);
   for (;;) {
     for (std::size_t i = 0; i < queue_.size(); ++i) {
       const Message& m = queue_[i];
@@ -156,6 +159,16 @@ Message Mailbox::receive(int source, int tag, const char* what) {
     }
     if (control_ != nullptr) {
       if (control_->aborted()) control_->throw_aborted();
+      if (poll.budget_left()) {
+        // Spin off the lock until something new is queued, then rescan; a
+        // spent budget falls through to the park on the next pass. Every
+        // enqueue after the scan bumps the counter past `seen`.
+        const std::uint64_t seen = arrivals_.load(std::memory_order_relaxed);
+        lock.unlock();
+        poll.spin([&] { return arrivals_.load(std::memory_order_relaxed) != seen; });
+        lock.lock();
+        continue;
+      }
       guard.engage(*control_, owner_, BlockKind::Recv, what, source, tag);
     }
     cv_.wait(lock);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -199,7 +200,9 @@ class Mailbox {
   void deliver(Message msg);
 
   /// Block until a message matching (source, tag) is available and return it.
-  /// `source`/`tag` may be kAnySource/kAnyTag wildcards. `what` names the
+  /// `source`/`tag` may be kAnySource/kAnyTag wildcards. A polling job's
+  /// waiter spins on the arrival counter for its WaitPoll budget before it
+  /// parks. `what` names the
   /// operation in blocked-state reports (e.g. "recv", "barrier"). Throws
   /// JobAborted if the job is cooperatively aborted while waiting, and
   /// ChecksumError if the matched payload fails verification.
@@ -245,6 +248,9 @@ class Mailbox {
 
   std::mutex mutex_;
   std::condition_variable cv_;
+  /// Bumped after every enqueue, once mutex_ is released: a receive()
+  /// polls it off the lock instead of sleeping on cv_ (WaitPoll).
+  std::atomic<std::uint64_t> arrivals_{0};
   MessageRing queue_;
   std::deque<std::shared_ptr<RequestState>> pending_;
   JobControl* control_ = nullptr;

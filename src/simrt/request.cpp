@@ -31,45 +31,44 @@ void Request::cancel() noexcept {
 void Request::wait() {
   if (!state_) return;
   trace::TraceSpan span("comm.wait", state_->want_source, state_->want_tag);
-  JobControl* control = state_->control;
-  std::unique_lock lock(state_->mutex);
-  BlockGuard guard;
-  for (;;) {
-    if (state_->complete) break;
-    if (control != nullptr && control->aborted()) {
-      // The match will never arrive: mark cancelled so the deliverer skips
-      // this (soon to dangle) buffer, then surface the abort.
-      state_->cancelled = true;
-      lock.unlock();
-      state_.reset();
-      control->throw_aborted();
+  RequestState& rs = *state_;
+  JobControl* control = rs.control;
+  auto done = [&rs] { return rs.complete.load(std::memory_order_acquire); };
+  WaitPoll(control).spin(done);
+  if (!done()) {
+    std::unique_lock lock(rs.mutex);
+    BlockGuard guard;
+    while (!done()) {
+      if (control != nullptr && control->aborted()) {
+        // The match will never arrive: mark cancelled so the deliverer skips
+        // this (soon to dangle) buffer, then surface the abort.
+        rs.cancelled = true;
+        lock.unlock();
+        state_.reset();
+        control->throw_aborted();
+      }
+      if (control != nullptr) {
+        guard.engage(*control, rs.owner, BlockKind::RequestWait, "wait(irecv)",
+                     rs.want_source, rs.want_tag);
+      }
+      rs.cv.wait(lock);
     }
-    if (control != nullptr) {
-      guard.engage(*control, state_->owner, BlockKind::RequestWait,
-                   "wait(irecv)", state_->want_source, state_->want_tag);
-    }
-    state_->cv.wait(lock);
   }
-  const std::string error = state_->error;
-  const bool checksum = state_->checksum_error;
-  lock.unlock();
-  state_.reset();
-  if (!error.empty()) {
-    if (checksum) {
-      perf::record_checksum_failure();
-      throw ChecksumError(error);
-    }
-    throw std::runtime_error(error);
-  }
+  release_completed();
 }
 
 bool Request::test() {
   if (!state_) return true;
-  std::unique_lock lock(state_->mutex);
-  if (!state_->complete) return false;
+  if (!state_->complete.load(std::memory_order_acquire)) return false;
+  release_completed();
+  return true;
+}
+
+void Request::release_completed() {
+  // `complete` was read with acquire, so the error fields written before it
+  // are visible without the lock.
   const std::string error = state_->error;
   const bool checksum = state_->checksum_error;
-  lock.unlock();
   state_.reset();
   if (!error.empty()) {
     if (checksum) {
@@ -78,7 +77,6 @@ bool Request::test() {
     }
     throw std::runtime_error(error);
   }
-  return true;
 }
 
 void waitall(std::span<Request> requests) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <memory>
@@ -20,7 +21,9 @@ namespace vpar::simrt {
 struct RequestState {
   std::mutex mutex;
   std::condition_variable cv;
-  bool complete = false;
+  /// Stored (release, under `mutex`) after the payload copy and the error
+  /// fields, so Request::wait can poll it without the lock (WaitPoll).
+  std::atomic<bool> complete{false};
   bool cancelled = false;
   bool checksum_error = false;
   std::string error;
@@ -53,8 +56,9 @@ class Request {
   Request& operator=(const Request&) = delete;
   ~Request();
 
-  /// Block until the operation completes, then release the handle.
-  /// Throws std::runtime_error if the match failed (size mismatch).
+  /// Block until the operation completes, then release the handle: a
+  /// polling job's waiter spins on `complete` for its WaitPoll budget before
+  /// it parks. Throws std::runtime_error if the match failed (size mismatch).
   void wait();
 
   /// True if the operation has completed (always true for a null handle).
@@ -66,6 +70,8 @@ class Request {
 
  private:
   void cancel() noexcept;
+  /// Release a completed state; rethrow its stored matching error, if any.
+  void release_completed();
 
   std::shared_ptr<RequestState> state_;
 };

@@ -5,30 +5,50 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 
 namespace vpar::trace {
 
 namespace detail {
-std::atomic<int> g_mode{[] {
-  const char* s = std::getenv("VPAR_TRACE");
-  if (s == nullptr) return static_cast<int>(Mode::Off);
-  const std::string v(s);
-  if (v == "flight" || v == "on" || v == "1") return static_cast<int>(Mode::Flight);
-  if (v == "full") return static_cast<int>(Mode::Full);
-  return static_cast<int>(Mode::Off);
-}()};
+
+std::atomic<int> g_mode{kModeUnread};
+
+Mode mode_from_env(const char* value) {
+  if (value == nullptr || *value == '\0') return Mode::Off;
+  const std::string v(value);
+  if (v == "off") return Mode::Off;
+  if (v == "flight" || v == "on" || v == "1") return Mode::Flight;
+  if (v == "full") return Mode::Full;
+  throw std::invalid_argument("VPAR_TRACE='" + v +
+                              "' is not a trace mode: expected off|flight|on|1|full");
+}
+
+int read_mode_env() {
+  const int parsed = static_cast<int>(mode_from_env(std::getenv("VPAR_TRACE")));
+  int current = kModeUnread;
+  // A set_mode() that got in first wins over the environment.
+  g_mode.compare_exchange_strong(current, parsed, std::memory_order_relaxed);
+  return current == kModeUnread ? parsed : current;
+}
+
 }  // namespace detail
 
-Mode mode() { return static_cast<Mode>(detail::g_mode.load(std::memory_order_relaxed)); }
+namespace {
+
+int mode_word() {
+  const int m = detail::g_mode.load(std::memory_order_relaxed);
+  return m == detail::kModeUnread ? detail::read_mode_env() : m;
+}
+
+}  // namespace
+
+Mode mode() { return static_cast<Mode>(mode_word()); }
 
 void set_mode(Mode mode) {
   detail::g_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
 }
 
-bool full_mode() {
-  return detail::g_mode.load(std::memory_order_relaxed) ==
-         static_cast<int>(Mode::Full);
-}
+bool full_mode() { return mode_word() == static_cast<int>(Mode::Full); }
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(

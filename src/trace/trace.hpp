@@ -8,7 +8,10 @@
 
 namespace vpar::trace {
 
-/// Process-wide tracing mode (VPAR_TRACE environment variable seeds it):
+/// Process-wide tracing mode. The VPAR_TRACE environment variable seeds it
+/// on first use (off|flight|full, on and 1 meaning flight, unset or empty
+/// meaning off; any other value throws std::invalid_argument from that use
+/// and every later one until it is fixed); set_mode overrides it:
 ///  - Off:    emit functions return immediately; a disabled span is two
 ///            predictable branches and no stores (the "compiled to near-zero
 ///            cost" contract the always-on claim rests on).
@@ -22,13 +25,24 @@ namespace vpar::trace {
 enum class Mode : int { Off = 0, Flight = 1, Full = 2 };
 
 namespace detail {
+/// The mode word before VPAR_TRACE has been read (or set_mode called).
+inline constexpr int kModeUnread = -1;
 extern std::atomic<int> g_mode;
-}
+/// Read VPAR_TRACE into g_mode and return the mode word; a rejected value
+/// throws and leaves the word unread, so the next use throws again.
+int read_mode_env();
+/// The Mode a VPAR_TRACE value selects: off|flight|on|1|full; null or empty
+/// is Off. Anything else throws std::invalid_argument naming the accepted
+/// values. The parser behind the first-use read, exposed for tests.
+[[nodiscard]] Mode mode_from_env(const char* value);
+}  // namespace detail
 
 /// Cheapest possible enabled check — one relaxed atomic load, inlined into
-/// every instrumentation site.
+/// every instrumentation site (the first use also reads VPAR_TRACE).
 inline bool enabled() {
-  return detail::g_mode.load(std::memory_order_relaxed) != 0;
+  const int m = detail::g_mode.load(std::memory_order_relaxed);
+  if (m == detail::kModeUnread) [[unlikely]] return detail::read_mode_env() != 0;
+  return m != 0;
 }
 
 [[nodiscard]] Mode mode();

@@ -105,6 +105,20 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{2, 2, 1, true}, std::tuple{2, 2, 2, true},
                       std::tuple{1, 2, 2, false}, std::tuple{2, 2, 2, false}));
 
+// The decomposition plans its halo once; every exchange reuses the schedule
+// and the receive buffer it keeps instead of re-planning.
+TEST(Exchange, DecompositionKeepsItsReceiveBufferAcrossExchanges) {
+  simrt::run(2, [](simrt::Communicator& comm) {
+    const Decomp3D d(8, 8, 8, 2, 1, 1, comm.rank(), /*periodic=*/true);
+    GridFunctions gf(2, d.nl[0], d.nl[1], d.nl[2]);
+    exchange_ghosts(comm, d, gf);
+    const double* inbox = d.halo.inbox.data();
+    ASSERT_NE(inbox, nullptr);
+    exchange_ghosts(comm, d, gf);
+    EXPECT_EQ(d.halo.inbox.data(), inbox);
+  });
+}
+
 TEST(Boundary, ScalarAndVectorizedCoverIdenticalPointSets) {
   // Counting variant: set dst = src + dt*rhs with dt = 0 makes the update a
   // copy; instead mark coverage by initializing dst to a sentinel and

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <numbers>
 #include <random>
@@ -45,6 +46,26 @@ TEST(Stencil, ZeroGyroradiusIsClassicPic) {
         EXPECT_DOUBLE_EQ(st.wcell[4 * r + c], st.wcell[c]);
       }
     }
+  });
+}
+
+// -1e-17 + n rounds to n itself; the wrap must return its periodic image.
+TEST(Wrap, TinyNegativeLandsInsideThePeriod) {
+  for (double n : {64.0, kTwoPi}) {
+    const double w = wrap_periodic(-1e-17, n);
+    EXPECT_GE(w, 0.0) << "n=" << n;
+    EXPECT_LT(w, n) << "n=" << n;
+  }
+}
+
+// A ring point a hair left of x = 0 (and below y = 0) must wrap inside the
+// row: wrapped to x = ngx, the stencil names cells past the row and plane.
+TEST(Stencil, TinyGyroradiusAtTheOriginStaysInsideThePlane) {
+  simrt::run(1, [](simrt::Communicator& comm) {
+    TorusGrid grid(64, 64, 4, comm.size(), comm.rank());
+    DepositStencil st;
+    compute_stencil(grid, 0.0, 0.0, grid.zeta_min(), 1e-300, st);
+    for (std::size_t c : st.cell) EXPECT_LT(c, grid.plane_size());
   });
 }
 
@@ -221,6 +242,24 @@ TEST_P(ShiftVariants, EveryParticleArrivesHome) {
 INSTANTIATE_TEST_SUITE_P(BothVariants, ShiftVariants,
                          ::testing::Values(ShiftVariant::NestedIf,
                                            ShiftVariant::TwoPass));
+
+// A marker at zeta == 2*pi belongs to no plane, and shift() would loop
+// forever. The deadline turns such a hang into a failure: the loop's
+// allreduce observes the abort.
+TEST(Shift, MarkerAtWrappedZetaArrivesHome) {
+  simrt::RunOptions options;
+  options.size = 1;
+  options.deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  simrt::run(options, [](simrt::Communicator& comm) {
+    TorusGrid grid(8, 8, 8, comm.size(), comm.rank());
+    ParticleSet p;
+    p.push_back(1.0, 1.0, wrap_periodic(-1e-17, kTwoPi), 0.0, 0.5, 1.0);
+    shift(comm, grid, p, ShiftVariant::TwoPass);
+    ASSERT_EQ(p.size(), 1u);
+    EXPECT_GE(p.zeta[0], grid.zeta_min());
+    EXPECT_LT(p.zeta[0], grid.zeta_max());
+  });
+}
 
 TEST(Shift, VariantsMoveIdenticalParticleSets) {
   constexpr int P = 4;

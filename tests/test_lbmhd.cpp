@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "lbmhd/collision.hpp"
+#include "lbmhd/exchange.hpp"
 #include "lbmhd/lattice.hpp"
 #include "lbmhd/simulation.hpp"
 #include "lbmhd/stream.hpp"
@@ -311,6 +312,20 @@ TEST(Simulation, CurrentDensityIntegratesToZero) {
     // Periodic curl integrates to zero; crossed structures carry real current.
     EXPECT_NEAR(total, 0.0, 1e-9);
     EXPECT_GT(maxabs, 1e-4);
+  });
+}
+
+// The decomposition plans its halo once; every exchange reuses the schedule
+// and the receive buffer it keeps instead of re-planning.
+TEST(Exchange, DecompositionKeepsItsReceiveBufferAcrossExchanges) {
+  simrt::run(2, [](simrt::Communicator& comm) {
+    const Decomp2D d(16, 8, 2, 1, comm.rank());
+    FieldSet fields(d.nxl, d.nyl);
+    exchange_mpi(comm, d, fields);
+    const double* inbox = d.halo.inbox.data();
+    ASSERT_NE(inbox, nullptr);
+    exchange_mpi(comm, d, fields);
+    EXPECT_EQ(d.halo.inbox.data(), inbox);
   });
 }
 

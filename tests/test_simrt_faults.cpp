@@ -79,6 +79,24 @@ TEST(Watchdog, DiagnosesADeadlockThatIncludesRankZero) {
   EXPECT_LT(elapsed, 5s);
 }
 
+// A collective's tree receive polls before it parks; once parked, the report
+// names the rank, the collective and the fragment it waits for.
+TEST(Watchdog, NamesARankParkedInACollectiveReceive) {
+  RunOptions options;
+  options.size = 2;
+  options.watchdog = 300ms;
+  try {
+    run(options, [](Communicator& comm) {
+      if (comm.rank() == 1) (void)comm.allreduce(1, ReduceOp::Sum);  // rank 0 never joins
+    });
+    FAIL() << "deadlocked job returned";
+  } catch (const WatchdogTimeout& e) {
+    const std::string report = e.what();
+    EXPECT_TRUE(contains(report, "rank 0: finished")) << report;
+    EXPECT_TRUE(contains(report, "rank 1: blocked in allreduce (source 0")) << report;
+  }
+}
+
 // The report must expose the queue state a deadlock post-mortem needs:
 // messages nobody received and receives nobody matched.
 TEST(Watchdog, ReportListsQueuedMessagesAndPendingReceives) {
@@ -170,6 +188,37 @@ TEST(CooperativeAbort, WakesPeersBlockedInRecv) {
     EXPECT_TRUE(contains(e.what(), "rank 2 exploded")) << e.what();
   }
   EXPECT_LT(std::chrono::steady_clock::now() - start, 3s);
+}
+
+// A peer still polling (not yet parked) when another rank throws stops at
+// the abort, and the caller sees the thrower's error: for both message
+// waits, Request::wait (recv) and Mailbox::receive (recv_message).
+TEST(CooperativeAbort, PeerPollingInRecvEndsWithTheJobError) {
+  for (const bool posted : {true, false}) {
+    RunOptions options;
+    options.size = 2;
+    options.watchdog = 5s;  // backstop only
+    std::atomic<bool> waiting{false};
+    try {
+      run(options, [&](Communicator& comm) {
+        if (comm.rank() == 0) {
+          while (!waiting.load()) std::this_thread::yield();
+          throw std::runtime_error("rank 0 exploded");
+        }
+        waiting.store(true);
+        if (posted) {
+          int v = 0;
+          comm.recv<int>(0, std::span<int>(&v, 1), 1);  // never arrives
+        } else {
+          (void)comm.recv_message(0, 1);
+        }
+      });
+      FAIL() << "job with a dead rank returned";
+    } catch (const RankError& e) {
+      EXPECT_EQ(e.failed_rank(), 0);
+      EXPECT_TRUE(contains(e.what(), "rank 0 exploded")) << e.what();
+    }
+  }
 }
 
 // Same for peers parked in the rendezvous barrier (the P<=8 barrier path and
