@@ -297,6 +297,9 @@ RunResult run_distributed(const RunOptions& options,
   for (auto& r : state.recorders) r.clear();
   state.control.configure(options);
 
+  // Every rank of the job is a process on this host: count them all, as
+  // Executor::run counts its threads (waits_may_poll).
+  const RunningRanks running(state.size);
   std::exception_ptr error;
   LocalSupervisor supervisor(state, *session.transport, rank);
   trace::set_thread_rank(rank);
