@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <random>
 
@@ -209,6 +210,69 @@ TEST(Transform, ParallelMatchesSerialRealSpace) {
   EXPECT_GT(scale, 0.0);
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_NEAR(std::abs(serial[i]), scale, 1e-10);  // |plane wave| constant
+  }
+}
+
+TEST(Transform, RealSpaceBitwiseAcrossRankCounts) {
+  // Every coefficient is a function of its global index, so the field does
+  // not depend on P. The transposes only move data and each 1D FFT sees the
+  // same line at any P, so the gathered slabs agree bit for bit.
+  const Basis basis(9.0);
+  const std::size_t n = basis.grid_n();
+  auto run_with = [&](int P) {
+    std::vector<Complex> global;
+    simrt::run(P, [&](simrt::Communicator& comm) {
+      const Layout layout(basis, comm.size());
+      WavefunctionTransform tf(comm, basis, layout);
+      std::vector<Complex> coeffs(tf.local_coeffs());
+      for (std::size_t c : layout.columns_of(comm.rank())) {
+        const auto& col = basis.columns()[c];
+        for (std::size_t m = 0; m < col.gz.size(); ++m) {
+          const auto g = static_cast<double>(col.offset + m);
+          coeffs[layout.local_offset(c) + m] = Complex(std::sin(g), std::cos(0.7 * g));
+        }
+      }
+      const auto slab = tf.to_real(coeffs);
+      std::vector<Complex> all(comm.rank() == 0 ? n * n * n : 0);
+      comm.gather<Complex>(slab, all, 0);
+      if (comm.rank() == 0) global = std::move(all);
+    });
+    return global;
+  };
+
+  const auto serial = run_with(1);
+  ASSERT_EQ(serial.size(), n * n * n);
+  for (int P : {2, 4, 8}) {
+    const auto par = run_with(P);
+    ASSERT_EQ(par.size(), serial.size());
+    EXPECT_EQ(std::memcmp(par.data(), serial.data(), serial.size() * sizeof(Complex)), 0)
+        << "P=" << P;
+  }
+}
+
+TEST(Transform, RecordsOneAllToAllPerTranspose) {
+  // to_real sends every other rank planes_local values of each owned column;
+  // to_fourier returns to every other rank planes_local values of each of
+  // that rank's columns. Each transpose is one AllToAll operation.
+  constexpr int P = 4;
+  const Basis basis(9.0);
+  const Layout layout(basis, P);
+  const auto result = simrt::run(P, [&](simrt::Communicator& comm) {
+    WavefunctionTransform tf(comm, basis, layout);
+    const std::vector<Complex> coeffs(tf.local_coeffs(), Complex(1.0, 0.0));
+    (void)tf.to_fourier(tf.to_real(coeffs));
+  });
+  const std::size_t planes = basis.grid_n() / P;
+  const std::size_t columns = basis.columns().size();
+  ASSERT_EQ(result.size(), P);
+  for (int r = 0; r < P; ++r) {
+    const auto& comm = result.per_rank[static_cast<std::size_t>(r)].comm();
+    const std::size_t mine = layout.columns_of(r).size();
+    const std::size_t sent = (P - 1) * mine + (columns - mine);
+    EXPECT_EQ(comm.messages(perf::CommKind::AllToAll), 2.0) << "rank " << r;
+    EXPECT_EQ(comm.bytes(perf::CommKind::AllToAll),
+              static_cast<double>(sent * planes * sizeof(Complex)))
+        << "rank " << r;
   }
 }
 

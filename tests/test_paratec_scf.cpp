@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <random>
 
 #include "paratec/scf.hpp"
 #include "simrt/runtime.hpp"
@@ -90,6 +92,40 @@ TEST(Hartree, RecoversAnalyticEigenmode) {
             << "procs=" << procs;
       }
     });
+  }
+}
+
+TEST(Hartree, BitwiseAcrossRankCounts) {
+  // The slab transposes only move data and each 1D FFT sees the same line
+  // at any P, so V_H of one global density is bitwise independent of P.
+  constexpr std::size_t n = 16;
+  std::vector<double> global(n * n * n);
+  std::mt19937 rng(99);
+  std::uniform_real_distribution<double> dist(0.0, 2.0);
+  for (auto& v : global) v = dist(rng);
+
+  auto solve_with = [&](int procs) {
+    std::vector<double> full;
+    simrt::run(procs, [&](simrt::Communicator& comm) {
+      const std::size_t slab = n / static_cast<std::size_t>(comm.size()) * n * n;
+      const auto first =
+          global.begin() + static_cast<std::ptrdiff_t>(slab * static_cast<std::size_t>(comm.rank()));
+      const auto vh =
+          solve_hartree(comm, std::vector<double>(first, first + static_cast<std::ptrdiff_t>(slab)), n);
+      std::vector<double> all(comm.rank() == 0 ? global.size() : 0);
+      comm.gather<double>(vh, all, 0);
+      if (comm.rank() == 0) full = std::move(all);
+    });
+    return full;
+  };
+
+  const auto serial = solve_with(1);
+  ASSERT_EQ(serial.size(), global.size());
+  for (int procs : {2, 4, 8}) {
+    const auto par = solve_with(procs);
+    ASSERT_EQ(par.size(), serial.size());
+    EXPECT_EQ(std::memcmp(par.data(), serial.data(), serial.size() * sizeof(double)), 0)
+        << "procs=" << procs;
   }
 }
 
