@@ -8,7 +8,6 @@
 
 #include "blas/blas.hpp"
 #include "cactus/adm.hpp"
-#include "fft/fft3d.hpp"
 #include "fft/fft_multi.hpp"
 #include "gtc/deposition.hpp"
 #include "lbmhd/collision.hpp"
@@ -127,18 +126,6 @@ void BM_MultiFftSimultaneous(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<long>(state.iterations() * count));
 }
 BENCHMARK(BM_MultiFftSimultaneous);
-
-void BM_Fft3d(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  fft::Fft3d plan(n, n, n);
-  fft::Grid3 g(n, n, n);
-  for (auto& v : g.data) v = fft::Complex(0.3, 0.1);
-  for (auto _ : state) {
-    plan.forward(g);
-    benchmark::DoNotOptimize(g.data.data());
-  }
-}
-BENCHMARK(BM_Fft3d)->Arg(16)->Arg(32);
 
 void BM_ZGemm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -28,8 +28,6 @@
 #include "cactus/evolve.hpp"
 #include "cactus/grid.hpp"
 #include "fft/fft1d.hpp"
-#include "fft/fft3d.hpp"
-#include "fft/fft3d_dist.hpp"
 #include "gtc/deposition.hpp"
 #include "gtc/push.hpp"
 #include "gtc/simulation.hpp"
@@ -172,37 +170,6 @@ void gtc_steps(int procs, int reps) {
     sim.load_particles();
     sim.run(reps);
   });
-}
-
-void fft_dist(int procs, int reps) {
-  vpar::simrt::run(procs, [&](vpar::simrt::Communicator& comm) {
-    constexpr std::size_t N = 32;
-    vpar::fft::DistFft3d plan(comm, N, N, N);
-    vpar::fft::Grid3 slab(N / static_cast<std::size_t>(comm.size()), N, N);
-    for (std::size_t i = 0; i < slab.data.size(); ++i) {
-      slab.data[i] = vpar::fft::Complex(static_cast<double>(i % 17) - 8.0,
-                                        static_cast<double>(i % 5));
-    }
-    for (int r = 0; r < reps; ++r) {
-      auto spec = plan.forward(slab);
-      slab = plan.inverse(spec);
-    }
-  });
-}
-
-void fft_serial(int reps) {
-  constexpr std::size_t N = 32;
-  vpar::fft::Grid3 grid(N, N, N);
-  for (std::size_t i = 0; i < grid.data.size(); ++i) {
-    grid.data[i] = vpar::fft::Complex(static_cast<double>(i % 13) - 6.0, 0.0);
-  }
-  for (int r = 0; r < reps; ++r) {
-    // A fresh plan per transform: the repeated-transform pattern of the SCF
-    // and Poisson loops (twiddle/bit-reversal setup rides on every rep).
-    vpar::fft::Fft3d plan(N, N, N);
-    plan.forward(grid);
-    plan.inverse(grid);
-  }
 }
 
 void gemm_serial(int reps) {
@@ -449,8 +416,6 @@ int main(int argc, char** argv) {
   bench("cactus", 1, 8, [] { cactus_steps(1, 1, 1, 1, 8); });
   bench("cactus", 8, 8, [] { cactus_steps(8, 2, 2, 2, 8); });
   bench("gtc", 8, 12, [] { gtc_steps(8, 12); });
-  bench("fft_dist", 8, 40, [] { fft_dist(8, 40); });
-  bench("fft_serial", 1, 30, [] { fft_serial(30); });
   bench("gemm", 1, 30, [] { gemm_serial(30); });
 
   double total = 0.0, total_p8 = 0.0;

@@ -12,20 +12,6 @@ namespace vpar::paratec {
 
 namespace {
 
-/// In-place 2D FFT of an n x n complex plane (rows contiguous, x fastest).
-void plane_fft(std::vector<Complex>& plane, std::size_t n, const fft::MultiFft1d& f,
-               bool invert) {
-  f.simultaneous(std::span<Complex>(plane), n, invert);
-  std::vector<Complex> t(plane.size());
-  for (std::size_t y = 0; y < n; ++y) {
-    for (std::size_t x = 0; x < n; ++x) t[x * n + y] = plane[y * n + x];
-  }
-  f.simultaneous(std::span<Complex>(t), n, invert);
-  for (std::size_t y = 0; y < n; ++y) {
-    for (std::size_t x = 0; x < n; ++x) plane[y * n + x] = t[x * n + y];
-  }
-}
-
 double wavenumber(std::size_t m, std::size_t n) {
   const auto half = n / 2;
   const double g = m <= half ? static_cast<double>(m)
@@ -74,48 +60,44 @@ std::vector<double> solve_hartree(simrt::Communicator& comm,
   if (density.size() != zl * n * n) {
     throw std::runtime_error("solve_hartree: slab size mismatch");
   }
-  const fft::MultiFft1d fxy(n), fz(n);
+  const std::size_t block = zl * n * xl;  // one rank pair's transpose block
 
   // 2D transforms of the owned z planes.
   std::vector<Complex> slab(density.size());
   for (std::size_t i = 0; i < density.size(); ++i) slab[i] = Complex(density[i], 0.0);
-  std::vector<Complex> plane(n * n);
-  for (std::size_t z = 0; z < zl; ++z) {
-    std::copy_n(slab.data() + z * n * n, n * n, plane.begin());
-    plane_fft(plane, n, fxy, /*invert=*/false);
-    std::copy_n(plane.begin(), n * n, slab.data() + z * n * n);
-  }
+  plane_ffts(slab, n, /*invert=*/false);
 
-  // Transpose so each rank owns full-z lines for its x columns.
-  std::vector<std::vector<Complex>> outboxes(P);
-  for (std::size_t d = 0; d < P; ++d) {
-    auto& box = outboxes[d];
-    box.reserve(zl * n * xl);
-    for (std::size_t z = 0; z < zl; ++z) {
-      for (std::size_t y = 0; y < n; ++y) {
-        for (std::size_t x = d * xl; x < (d + 1) * xl; ++x) {
-          box.push_back(slab[(z * n + y) * n + x]);
-        }
-      }
-    }
-  }
-  auto inboxes = comm.alltoallv(outboxes);
-
-  // Assemble (x_local, y, z) with z contiguous, z-transform, scale, inverse.
+  // Transpose so each rank owns full-z lines for its x columns, assembled as
+  // (x_local, y, z) with z contiguous; z-transform, scale, inverse.
   std::vector<Complex> lines(xl * n * n);
-  for (std::size_t s = 0; s < P; ++s) {
-    const auto& box = inboxes[s];
-    if (box.size() != zl * n * xl) {
-      throw std::runtime_error("solve_hartree: transpose block size mismatch");
-    }
-    for (std::size_t z = 0; z < zl; ++z) {
-      for (std::size_t y = 0; y < n; ++y) {
-        for (std::size_t x = 0; x < xl; ++x) {
-          lines[(x * n + y) * n + (s * zl + z)] = box[(z * n + y) * xl + x];
+  comm.alltoallv_pipelined<Complex>(
+      [&](int dest) {
+        const std::size_t x_dest = static_cast<std::size_t>(dest) * xl;
+        std::vector<Complex> box;
+        box.reserve(block);
+        for (std::size_t z = 0; z < zl; ++z) {
+          for (std::size_t y = 0; y < n; ++y) {
+            for (std::size_t x = x_dest; x < x_dest + xl; ++x) {
+              box.push_back(slab[(z * n + y) * n + x]);
+            }
+          }
         }
-      }
-    }
-  }
+        return box;
+      },
+      [&](int src, std::vector<Complex> box) {
+        if (box.size() != block) {
+          throw std::runtime_error("solve_hartree: transpose block size mismatch");
+        }
+        const std::size_t z_src = static_cast<std::size_t>(src) * zl;
+        for (std::size_t z = 0; z < zl; ++z) {
+          for (std::size_t y = 0; y < n; ++y) {
+            for (std::size_t x = 0; x < xl; ++x) {
+              lines[(x * n + y) * n + (z_src + z)] = box[(z * n + y) * xl + x];
+            }
+          }
+        }
+      });
+  const fft::MultiFft1d fz(n);
   fz.simultaneous(std::span<Complex>(lines), xl * n, /*invert=*/false);
 
   const std::size_t x0 = static_cast<std::size_t>(comm.rank()) * xl;
@@ -137,36 +119,36 @@ std::vector<double> solve_hartree(simrt::Communicator& comm,
   fz.simultaneous(std::span<Complex>(lines), xl * n, /*invert=*/true);
 
   // Transpose back to z slabs.
-  std::vector<std::vector<Complex>> back(P);
-  for (std::size_t d = 0; d < P; ++d) {
-    auto& box = back[d];
-    box.reserve(zl * n * xl);
-    for (std::size_t z = 0; z < zl; ++z) {
-      for (std::size_t y = 0; y < n; ++y) {
-        for (std::size_t x = 0; x < xl; ++x) {
-          box.push_back(lines[(x * n + y) * n + (d * zl + z)]);
+  comm.alltoallv_pipelined<Complex>(
+      [&](int dest) {
+        const std::size_t z_dest = static_cast<std::size_t>(dest) * zl;
+        std::vector<Complex> box;
+        box.reserve(block);
+        for (std::size_t z = 0; z < zl; ++z) {
+          for (std::size_t y = 0; y < n; ++y) {
+            for (std::size_t x = 0; x < xl; ++x) {
+              box.push_back(lines[(x * n + y) * n + (z_dest + z)]);
+            }
+          }
         }
-      }
-    }
-  }
-  auto returned = comm.alltoallv(back);
-  for (std::size_t s = 0; s < P; ++s) {
-    const auto& box = returned[s];
-    for (std::size_t z = 0; z < zl; ++z) {
-      for (std::size_t y = 0; y < n; ++y) {
-        for (std::size_t x = 0; x < xl; ++x) {
-          slab[(z * n + y) * n + (s * xl + x)] = box[(z * n + y) * xl + x];
+        return box;
+      },
+      [&](int src, std::vector<Complex> box) {
+        if (box.size() != block) {
+          throw std::runtime_error("solve_hartree: transpose block size mismatch");
         }
-      }
-    }
-  }
+        const std::size_t x_src = static_cast<std::size_t>(src) * xl;
+        for (std::size_t z = 0; z < zl; ++z) {
+          for (std::size_t y = 0; y < n; ++y) {
+            for (std::size_t x = 0; x < xl; ++x) {
+              slab[(z * n + y) * n + (x_src + x)] = box[(z * n + y) * xl + x];
+            }
+          }
+        }
+      });
 
   // Inverse 2D transforms back to real space.
-  for (std::size_t z = 0; z < zl; ++z) {
-    std::copy_n(slab.data() + z * n * n, n * n, plane.begin());
-    plane_fft(plane, n, fxy, /*invert=*/true);
-    std::copy_n(plane.begin(), n * n, slab.data() + z * n * n);
-  }
+  plane_ffts(slab, n, /*invert=*/true);
   std::vector<double> vh(density.size());
   for (std::size_t i = 0; i < vh.size(); ++i) vh[i] = slab[i].real();
   return vh;

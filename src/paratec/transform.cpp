@@ -7,23 +7,21 @@
 
 namespace vpar::paratec {
 
-namespace {
-
-/// In-place 2D FFT of an n x n complex plane (rows contiguous, x fastest).
-void plane_fft(std::vector<Complex>& plane, std::size_t n, const fft::MultiFft1d& f,
-               bool invert) {
-  f.simultaneous(std::span<Complex>(plane), n, invert);  // along x
-  std::vector<Complex> t(plane.size());
-  for (std::size_t y = 0; y < n; ++y) {
-    for (std::size_t x = 0; x < n; ++x) t[x * n + y] = plane[y * n + x];
-  }
-  f.simultaneous(std::span<Complex>(t), n, invert);  // along y
-  for (std::size_t y = 0; y < n; ++y) {
-    for (std::size_t x = 0; x < n; ++x) plane[y * n + x] = t[x * n + y];
+void plane_ffts(std::span<Complex> slab, std::size_t n, bool invert) {
+  const fft::MultiFft1d f(n);
+  std::vector<Complex> t(n * n);
+  for (std::size_t z = 0; z < slab.size() / (n * n); ++z) {
+    const auto plane = slab.subspan(z * n * n, n * n);
+    f.simultaneous(plane, n, invert);  // along x
+    for (std::size_t y = 0; y < n; ++y) {
+      for (std::size_t x = 0; x < n; ++x) t[x * n + y] = plane[y * n + x];
+    }
+    f.simultaneous(std::span<Complex>(t), n, invert);  // along y
+    for (std::size_t y = 0; y < n; ++y) {
+      for (std::size_t x = 0; x < n; ++x) plane[y * n + x] = t[x * n + y];
+    }
   }
 }
-
-}  // namespace
 
 WavefunctionTransform::WavefunctionTransform(simrt::Communicator& comm,
                                              const Basis& basis, const Layout& layout)
@@ -38,9 +36,7 @@ WavefunctionTransform::WavefunctionTransform(simrt::Communicator& comm,
 
 std::vector<Complex> WavefunctionTransform::to_real(std::span<const Complex> coeffs) {
   const std::size_t n = basis_->grid_n();
-  const int rank = comm_->rank();
-  const auto P = static_cast<std::size_t>(comm_->size());
-  const auto& my_columns = layout_->columns_of(rank);
+  const auto& my_columns = layout_->columns_of(comm_->rank());
   if (coeffs.size() != local_coeffs()) {
     throw std::runtime_error("to_real: coefficient count mismatch");
   }
@@ -59,35 +55,35 @@ std::vector<Complex> WavefunctionTransform::to_real(std::span<const Complex> coe
     fz.simultaneous(std::span<Complex>(lines), my_columns.size(), /*invert=*/true);
   }
 
-  // Stage 2: transpose only the non-zero columns' data to the plane owners.
-  std::vector<std::vector<Complex>> outboxes(P);
-  for (std::size_t d = 0; d < P; ++d) {
-    auto& box = outboxes[d];
-    box.reserve(my_columns.size() * planes_local_);
-    for (std::size_t lc = 0; lc < my_columns.size(); ++lc) {
-      const Complex* line = lines.data() + lc * n + d * planes_local_;
-      box.insert(box.end(), line, line + planes_local_);
-    }
-  }
-  auto inboxes = comm_->alltoallv(outboxes);
-
-  // Scatter into full planes (zeros outside the sphere's columns).
+  // Stage 2: transpose only the non-zero columns' data to the plane owners,
+  // scattering each arriving block into full planes (zeros outside the
+  // sphere's columns).
   std::vector<Complex> slab(slab_size(), Complex{});
-  for (std::size_t src = 0; src < P; ++src) {
-    const auto& cols = layout_->columns_of(static_cast<int>(src));
-    const auto& box = inboxes[src];
-    if (box.size() != cols.size() * planes_local_) {
-      throw std::runtime_error("to_real: transpose block size mismatch");
-    }
-    for (std::size_t lc = 0; lc < cols.size(); ++lc) {
-      const auto& col = basis_->columns()[cols[lc]];
-      const std::size_t gy = basis_->grid_index(col.gy);
-      const std::size_t gx = basis_->grid_index(col.gx);
-      for (std::size_t z = 0; z < planes_local_; ++z) {
-        slab[(z * n + gy) * n + gx] = box[lc * planes_local_ + z];
-      }
-    }
-  }
+  comm_->alltoallv_pipelined<Complex>(
+      [&](int dest) {
+        const std::size_t z0 = static_cast<std::size_t>(dest) * planes_local_;
+        std::vector<Complex> box;
+        box.reserve(my_columns.size() * planes_local_);
+        for (std::size_t lc = 0; lc < my_columns.size(); ++lc) {
+          const Complex* line = lines.data() + lc * n + z0;
+          box.insert(box.end(), line, line + planes_local_);
+        }
+        return box;
+      },
+      [&](int src, std::vector<Complex> box) {
+        const auto& cols = layout_->columns_of(src);
+        if (box.size() != cols.size() * planes_local_) {
+          throw std::runtime_error("to_real: transpose block size mismatch");
+        }
+        for (std::size_t lc = 0; lc < cols.size(); ++lc) {
+          const auto& col = basis_->columns()[cols[lc]];
+          const std::size_t gy = basis_->grid_index(col.gy);
+          const std::size_t gx = basis_->grid_index(col.gx);
+          for (std::size_t z = 0; z < planes_local_; ++z) {
+            slab[(z * n + gy) * n + gx] = box[lc * planes_local_ + z];
+          }
+        }
+      });
   {
     perf::LoopRecord rec;  // pack + scatter data movement
     rec.vectorizable = true;
@@ -100,65 +96,50 @@ std::vector<Complex> WavefunctionTransform::to_real(std::span<const Complex> coe
   }
 
   // Stage 3: 2D transforms of the owned planes.
-  const fft::MultiFft1d fxy(n);
-  std::vector<Complex> plane(n * n);
-  for (std::size_t z = 0; z < planes_local_; ++z) {
-    std::copy_n(slab.data() + z * n * n, n * n, plane.begin());
-    plane_fft(plane, n, fxy, /*invert=*/true);
-    std::copy_n(plane.begin(), n * n, slab.data() + z * n * n);
-  }
+  plane_ffts(slab, n, /*invert=*/true);
   return slab;
 }
 
 std::vector<Complex> WavefunctionTransform::to_fourier(std::span<const Complex> slab) {
   const std::size_t n = basis_->grid_n();
-  const int rank = comm_->rank();
-  const auto P = static_cast<std::size_t>(comm_->size());
   if (slab.size() != slab_size()) {
     throw std::runtime_error("to_fourier: slab size mismatch");
   }
 
   // Stage 3 inverse: forward 2D FFTs on the owned planes.
-  const fft::MultiFft1d fxy(n);
   std::vector<Complex> work(slab.begin(), slab.end());
-  std::vector<Complex> plane(n * n);
-  for (std::size_t z = 0; z < planes_local_; ++z) {
-    std::copy_n(work.data() + z * n * n, n * n, plane.begin());
-    plane_fft(plane, n, fxy, /*invert=*/false);
-    std::copy_n(plane.begin(), n * n, work.data() + z * n * n);
-  }
+  plane_ffts(work, n, /*invert=*/false);
 
-  // Stage 2 inverse: return each column owner its (gx, gy) samples.
-  std::vector<std::vector<Complex>> outboxes(P);
-  for (std::size_t d = 0; d < P; ++d) {
-    const auto& cols = layout_->columns_of(static_cast<int>(d));
-    auto& box = outboxes[d];
-    box.reserve(cols.size() * planes_local_);
-    for (std::size_t lc = 0; lc < cols.size(); ++lc) {
-      const auto& col = basis_->columns()[cols[lc]];
-      const std::size_t gy = basis_->grid_index(col.gy);
-      const std::size_t gx = basis_->grid_index(col.gx);
-      for (std::size_t z = 0; z < planes_local_; ++z) {
-        box.push_back(work[(z * n + gy) * n + gx]);
-      }
-    }
-  }
-  auto inboxes = comm_->alltoallv(outboxes);
-
-  // Reassemble z-lines and transform back.
-  const auto& my_columns = layout_->columns_of(rank);
+  // Stage 2 inverse: return each column owner its (gx, gy) samples, and
+  // reassemble this rank's z-lines from the blocks that come back.
+  const auto& my_columns = layout_->columns_of(comm_->rank());
   std::vector<Complex> lines(my_columns.size() * n, Complex{});
-  for (std::size_t src = 0; src < P; ++src) {
-    const auto& box = inboxes[src];
-    if (box.size() != my_columns.size() * planes_local_) {
-      throw std::runtime_error("to_fourier: transpose block size mismatch");
-    }
-    for (std::size_t lc = 0; lc < my_columns.size(); ++lc) {
-      for (std::size_t z = 0; z < planes_local_; ++z) {
-        lines[lc * n + src * planes_local_ + z] = box[lc * planes_local_ + z];
-      }
-    }
-  }
+  comm_->alltoallv_pipelined<Complex>(
+      [&](int dest) {
+        const auto& cols = layout_->columns_of(dest);
+        std::vector<Complex> box;
+        box.reserve(cols.size() * planes_local_);
+        for (std::size_t lc = 0; lc < cols.size(); ++lc) {
+          const auto& col = basis_->columns()[cols[lc]];
+          const std::size_t gy = basis_->grid_index(col.gy);
+          const std::size_t gx = basis_->grid_index(col.gx);
+          for (std::size_t z = 0; z < planes_local_; ++z) {
+            box.push_back(work[(z * n + gy) * n + gx]);
+          }
+        }
+        return box;
+      },
+      [&](int src, std::vector<Complex> box) {
+        if (box.size() != my_columns.size() * planes_local_) {
+          throw std::runtime_error("to_fourier: transpose block size mismatch");
+        }
+        const std::size_t z0 = static_cast<std::size_t>(src) * planes_local_;
+        for (std::size_t lc = 0; lc < my_columns.size(); ++lc) {
+          for (std::size_t z = 0; z < planes_local_; ++z) {
+            lines[lc * n + z0 + z] = box[lc * planes_local_ + z];
+          }
+        }
+      });
   if (!my_columns.empty()) {
     const fft::MultiFft1d fz(n);
     fz.simultaneous(std::span<Complex>(lines), my_columns.size(), /*invert=*/false);

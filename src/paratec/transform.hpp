@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "paratec/basis.hpp"
@@ -39,5 +40,10 @@ class WavefunctionTransform {
   const Layout* layout_;
   std::size_t planes_local_;
 };
+
+/// In-place 2D FFTs of the n x n planes that make up `slab` (rows
+/// contiguous, x fastest): along x, then along y through a transpose. The
+/// plane stage of both the wavefunction transform and the Hartree solve.
+void plane_ffts(std::span<Complex> slab, std::size_t n, bool invert);
 
 }  // namespace vpar::paratec

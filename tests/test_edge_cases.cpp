@@ -3,15 +3,12 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
-
 #include "blas/blas.hpp"
-#include "fft/fft3d.hpp"
-#include "fft/fft3d_dist.hpp"
+#include "fft/fft1d.hpp"
+#include "fft/fft_multi.hpp"
 #include "lbmhd/exchange.hpp"
 #include "paratec/basis.hpp"
 #include "paratec/layout.hpp"
-#include "simrt/runtime.hpp"
 
 namespace vpar {
 namespace {
@@ -55,22 +52,6 @@ TEST(FftEdge, MultiFftZeroCount) {
   std::vector<fft::Complex> empty;
   plan.simultaneous(empty, 0);  // must not crash
   plan.looped(empty, 0);
-}
-
-TEST(FftEdge, AnisotropicDistributedGrid) {
-  // nx != ny != nz with nx, ny divisible by P.
-  simrt::run(2, [](simrt::Communicator& comm) {
-    fft::DistFft3d dist(comm, 4, 8, 2);
-    fft::Grid3 slab(2, 8, 2);
-    std::mt19937 rng(5 + static_cast<unsigned>(comm.rank()));
-    std::uniform_real_distribution<double> d(-1, 1);
-    for (auto& v : slab.data) v = fft::Complex(d(rng), d(rng));
-    auto spec = dist.forward(slab);
-    auto back = dist.inverse(spec);
-    for (std::size_t i = 0; i < slab.data.size(); ++i) {
-      EXPECT_LT(std::abs(back.data[i] - slab.data[i]), 1e-11);
-    }
-  });
 }
 
 TEST(DecompEdge, RejectsDegenerateBlocks) {

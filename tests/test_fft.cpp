@@ -5,10 +5,9 @@
 #include <random>
 
 #include "fft/fft1d.hpp"
-#include "fft/fft3d.hpp"
-#include "fft/fft3d_dist.hpp"
 #include "fft/fft_multi.hpp"
-#include "simrt/runtime.hpp"
+#include "perf/kernel_profile.hpp"
+#include "perf/recorder.hpp"
 
 namespace vpar::fft {
 namespace {
@@ -180,106 +179,6 @@ TEST(MultiFft, VectorizationShowsInInstrumentation) {
   const auto simd_stats = perf::compute_vector_stats(rec_simd.kernels(), 256);
   EXPECT_LE(loop_stats.avl, n / 2);
   EXPECT_GE(simd_stats.avl, 256.0 - 1e-9);
-}
-
-TEST(Fft3d, RoundTrip) {
-  Fft3d plan(8, 4, 16);
-  Grid3 g(8, 4, 16);
-  auto x = random_signal(g.size(), 11);
-  g.data = x;
-  plan.forward(g);
-  plan.inverse(g);
-  EXPECT_LT(max_diff(g.data, x), 1e-10);
-}
-
-TEST(Fft3d, MatchesNaiveOnPlaneWave) {
-  // A single plane wave exp(2 pi i (k.x)/N) must transform to one spike.
-  constexpr std::size_t n = 8;
-  Fft3d plan(n, n, n);
-  Grid3 g(n, n, n);
-  const std::size_t kx = 2, ky = 3, kz = 1;
-  for (std::size_t x = 0; x < n; ++x) {
-    for (std::size_t y = 0; y < n; ++y) {
-      for (std::size_t z = 0; z < n; ++z) {
-        const double a = 2.0 * std::numbers::pi *
-                         static_cast<double>(kx * x + ky * y + kz * z) / n;
-        g.at(x, y, z) = Complex(std::cos(a), std::sin(a));
-      }
-    }
-  }
-  plan.forward(g);
-  const double volume = static_cast<double>(n * n * n);
-  EXPECT_NEAR(std::abs(g.at(kx, ky, kz)), volume, 1e-8);
-  g.at(kx, ky, kz) = 0.0;
-  for (const auto& v : g.data) EXPECT_LT(std::abs(v), 1e-8);
-}
-
-class DistFftProcs : public ::testing::TestWithParam<int> {};
-
-TEST_P(DistFftProcs, MatchesSerial3dFft) {
-  const int P = GetParam();
-  constexpr std::size_t nx = 16, ny = 8, nz = 4;
-
-  Grid3 global(nx, ny, nz);
-  global.data = random_signal(global.size(), 21);
-  Grid3 reference = global;
-  Fft3d(nx, ny, nz).forward(reference);
-
-  simrt::run(P, [&](simrt::Communicator& comm) {
-    DistFft3d dist(comm, nx, ny, nz);
-    const std::size_t lnx = dist.local_nx();
-    Grid3 slab(lnx, ny, nz);
-    const std::size_t x0 = static_cast<std::size_t>(comm.rank()) * lnx;
-    for (std::size_t x = 0; x < lnx; ++x) {
-      for (std::size_t y = 0; y < ny; ++y) {
-        for (std::size_t z = 0; z < nz; ++z) slab.at(x, y, z) = global.at(x0 + x, y, z);
-      }
-    }
-    auto spectrum = dist.forward(slab);
-
-    // Check this rank's share of the transposed spectrum.
-    const std::size_t lny = dist.local_ny();
-    const std::size_t y0 = static_cast<std::size_t>(comm.rank()) * lny;
-    for (std::size_t yl = 0; yl < lny; ++yl) {
-      for (std::size_t z = 0; z < nz; ++z) {
-        for (std::size_t x = 0; x < nx; ++x) {
-          const auto got = spectrum[(yl * nz + z) * nx + x];
-          const auto want = reference.at(x, y0 + yl, z);
-          EXPECT_LT(std::abs(got - want), 1e-9);
-        }
-      }
-    }
-
-    // Round trip back to the original slab.
-    Grid3 back = dist.inverse(spectrum);
-    for (std::size_t x = 0; x < lnx; ++x) {
-      for (std::size_t y = 0; y < ny; ++y) {
-        for (std::size_t z = 0; z < nz; ++z) {
-          EXPECT_LT(std::abs(back.at(x, y, z) - global.at(x0 + x, y, z)), 1e-10);
-        }
-      }
-    }
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(Concurrency, DistFftProcs, ::testing::Values(1, 2, 4, 8));
-
-TEST(DistFft, RecordsAllToAllTraffic) {
-  auto result = simrt::run(4, [](simrt::Communicator& comm) {
-    DistFft3d dist(comm, 8, 8, 8);
-    Grid3 slab(2, 8, 8);
-    auto spec = dist.forward(slab);
-    (void)spec;
-  });
-  EXPECT_GT(result.merged.comm().bytes(perf::CommKind::AllToAll), 0.0);
-}
-
-TEST(DistFft, RejectsIndivisibleGrids) {
-  EXPECT_THROW(simrt::run(3,
-                          [](simrt::Communicator& comm) {
-                            DistFft3d dist(comm, 8, 8, 8);
-                          }),
-               std::runtime_error);
 }
 
 }  // namespace

@@ -141,19 +141,20 @@ TEST(SimrtStress, AlltoallvStorm) {
   constexpr int P = 8;
   run(P, [](Communicator& comm) {
     for (int iter = 0; iter < 10; ++iter) {
-      std::vector<std::vector<double>> out(P);
-      for (int d = 0; d < P; ++d) {
-        out[static_cast<std::size_t>(d)].assign(
-            static_cast<std::size_t>((comm.rank() + d + iter) % 3 + 1),
-            comm.rank() * 1.0 + d * 0.01);
-      }
-      auto in = comm.alltoallv(out);
-      for (int s = 0; s < P; ++s) {
-        const auto& box = in[static_cast<std::size_t>(s)];
-        ASSERT_EQ(box.size(),
-                  static_cast<std::size_t>((s + comm.rank() + iter) % 3 + 1));
-        for (double v : box) EXPECT_DOUBLE_EQ(v, s * 1.0 + comm.rank() * 0.01);
-      }
+      int arrived = 0;
+      comm.alltoallv_pipelined<double>(
+          [&](int d) {
+            return std::vector<double>(
+                static_cast<std::size_t>((comm.rank() + d + iter) % 3 + 1),
+                comm.rank() * 1.0 + d * 0.01);
+          },
+          [&](int s, std::vector<double> box) {
+            ++arrived;
+            ASSERT_EQ(box.size(),
+                      static_cast<std::size_t>((s + comm.rank() + iter) % 3 + 1));
+            for (double v : box) EXPECT_DOUBLE_EQ(v, s * 1.0 + comm.rank() * 0.01);
+          });
+      EXPECT_EQ(arrived, comm.size());
     }
   });
 }
@@ -279,14 +280,21 @@ TEST_P(CollectiveEquivalence, AlltoallvMatchesReferencePermutation) {
 
     run(P, [&](Communicator& comm) {
       const auto me = static_cast<std::size_t>(comm.rank());
-      std::vector<std::vector<double>> out(static_cast<std::size_t>(P));
-      for (std::size_t d = 0; d < static_cast<std::size_t>(P); ++d) {
-        out[d].resize(sizes[me][d]);
-        for (std::size_t i = 0; i < out[d].size(); ++i)
-          out[d][i] = comm.rank() * 100.0 + static_cast<double>(d) + i * 0.001;
-      }
-      auto in = comm.alltoallv(out);
-      ASSERT_EQ(in.size(), static_cast<std::size_t>(P));
+      std::vector<std::vector<double>> in(static_cast<std::size_t>(P));
+      std::vector<int> unpacked(static_cast<std::size_t>(P), 0);
+      comm.alltoallv_pipelined<double>(
+          [&](int dest) {
+            const auto d = static_cast<std::size_t>(dest);
+            std::vector<double> out(sizes[me][d]);
+            for (std::size_t i = 0; i < out.size(); ++i)
+              out[i] = comm.rank() * 100.0 + static_cast<double>(d) + i * 0.001;
+            return out;
+          },
+          [&](int src, std::vector<double> block) {
+            ++unpacked[static_cast<std::size_t>(src)];
+            in[static_cast<std::size_t>(src)] = std::move(block);
+          });
+      for (int count : unpacked) ASSERT_EQ(count, 1);
       for (std::size_t s = 0; s < static_cast<std::size_t>(P); ++s) {
         ASSERT_EQ(in[s].size(), sizes[s][me]);
         for (std::size_t i = 0; i < in[s].size(); ++i) {
