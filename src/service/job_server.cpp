@@ -79,8 +79,9 @@ const char* to_string(RejectReason reason) {
 
 JobServer::JobServer(const ServerConfig& config)
     : config_(config), breaker_(config.breaker) {
-  // Read VPAR_TRACE now: a malformed value throws from this constructor, not
-  // from an admission or a lane thread half-way through its bookkeeping.
+  // Read VPAR_TRACE and VPAR_TRACE_EVENTS now: a malformed value throws from
+  // this constructor, not from an admission or a lane thread half-way
+  // through its bookkeeping.
   (void)trace::mode();
   config_.lanes = std::max(config_.lanes, 1);
   config_.queue_capacity = std::max(config_.queue_capacity, 1);

@@ -614,8 +614,9 @@ RunResult Executor::run(int size, const std::function<void(Communicator&)>& body
 RunResult Executor::run(const RunOptions& options_in,
                         const std::function<void(Communicator&)>& body) {
   const RunOptions options = with_defaults(options_in);
-  // Read VPAR_TRACE here too, for callers that own an Executor: a malformed
-  // value throws to them, before any rank thread could trip over it.
+  // Read VPAR_TRACE and VPAR_TRACE_EVENTS here too, for callers that own an
+  // Executor: a malformed value throws to them, before any rank thread could
+  // trip over it.
   (void)trace::mode();
   const int size = options.size;
   if (size <= 0) throw std::runtime_error("simrt::run: size must be positive");
@@ -770,8 +771,9 @@ RunResult run(const RunOptions& options,
   if (options.size <= 0) {
     throw std::runtime_error("simrt::run: size must be positive");
   }
-  // Read VPAR_TRACE before either path: a malformed value then throws here,
-  // not from a socket rank's job span or a transport thread.
+  // Read VPAR_TRACE and VPAR_TRACE_EVENTS before either path: a malformed
+  // value then throws here, not from a socket rank's job span or a transport
+  // thread.
   (void)trace::mode();
   // Multi-process dispatch: when this process was launched as one rank of a
   // VPAR_TRANSPORT=socket job and the requested size matches the team,

@@ -9,6 +9,31 @@
 
 namespace vpar::trace {
 
+namespace {
+
+constexpr std::size_t kDefaultRingEvents = 8192;
+
+/// Capacity of rings created from now on (a power of two); 0 until
+/// VPAR_TRACE_EVENTS has been read or set_ring_capacity called.
+std::atomic<std::size_t> g_capacity{0};
+
+std::size_t round_up_pow2(std::size_t n) {
+  std::size_t p = 1;
+  while (p < n) p <<= 1;
+  return p;
+}
+
+/// Parse VPAR_TRACE_EVENTS (a rejected value throws, publishing nothing)
+/// and publish it unless a capacity was already set.
+void read_capacity_env() {
+  std::size_t unread = 0;
+  g_capacity.compare_exchange_strong(
+      unread, detail::ring_capacity_from_env(std::getenv("VPAR_TRACE_EVENTS")),
+      std::memory_order_relaxed);
+}
+
+}  // namespace
+
 namespace detail {
 
 std::atomic<int> g_mode{kModeUnread};
@@ -23,8 +48,28 @@ Mode mode_from_env(const char* value) {
                               "' is not a trace mode: expected off|flight|on|1|full");
 }
 
+std::size_t ring_capacity_from_env(const char* value) {
+  if (value == nullptr || *value == '\0') return kDefaultRingEvents;
+  char* end = nullptr;
+  // strtoull saturates at ULLONG_MAX on overflow, which the bound rejects.
+  const unsigned long long n = std::strtoull(value, &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(*value)) == 0 || *end != '\0' ||
+      n > kMaxRingEvents) {
+    throw std::invalid_argument(
+        std::string("VPAR_TRACE_EVENTS='") + value +
+        "' is not a ring capacity: expected a whole number <= " +
+        std::to_string(kMaxRingEvents) + " (0 or unset: " +
+        std::to_string(kDefaultRingEvents) + ")");
+  }
+  return n == 0 ? kDefaultRingEvents : round_up_pow2(n);
+}
+
 int read_mode_env() {
   const int parsed = static_cast<int>(mode_from_env(std::getenv("VPAR_TRACE")));
+  // VPAR_TRACE_EVENTS is read with the mode, so the callers that resolve the
+  // mode before starting threads also reject a bad capacity; a thread's
+  // first emit only loads the published value.
+  read_capacity_env();
   int current = kModeUnread;
   // A set_mode() that got in first wins over the environment.
   g_mode.compare_exchange_strong(current, parsed, std::memory_order_relaxed);
@@ -45,6 +90,8 @@ int mode_word() {
 Mode mode() { return static_cast<Mode>(mode_word()); }
 
 void set_mode(Mode mode) {
+  // A mode set in code skips the VPAR_TRACE read, not VPAR_TRACE_EVENTS.
+  if (g_capacity.load(std::memory_order_relaxed) == 0) read_capacity_env();
   detail::g_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
 }
 
@@ -58,34 +105,6 @@ std::uint64_t now_ns() {
 }
 
 namespace {
-
-constexpr std::size_t kDefaultRingEvents = 8192;
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-void warn_capacity(const std::string& request, const char* problem,
-                   std::size_t used) {
-  std::fprintf(stderr, "vpar trace: %s %s; using %zu events per thread\n",
-               request.c_str(), problem, used);
-}
-
-/// `events` clamped to [1, kMaxRingEvents] and rounded up to a power of two;
-/// `request` names the value in the warning a clamp prints.
-std::size_t clamp_capacity(std::size_t events, const std::string& request) {
-  if (events > kMaxRingEvents) {
-    warn_capacity(request, "is above the maximum", kMaxRingEvents);
-    return kMaxRingEvents;
-  }
-  return round_up_pow2(events > 0 ? events : 1);
-}
-
-/// Capacity applied to rings created from now on (power of two).
-std::atomic<std::size_t> g_capacity{
-    detail::ring_capacity_from_env(std::getenv("VPAR_TRACE_EVENTS"))};
 
 /// One thread's event sink. Single-writer (the owning thread); the head
 /// counter is the only cross-thread synchronization: the writer publishes a
@@ -195,9 +214,8 @@ Ring& local_ring() {
   if (!t_ring) {
     Registry& reg = registry();
     std::lock_guard lock(reg.mutex);
-    t_ring = std::make_shared<Ring>(
-        g_capacity.load(std::memory_order_relaxed), make_label(),
-        static_cast<int>(reg.rings.size()));
+    t_ring = std::make_shared<Ring>(ring_capacity(), make_label(),
+                                    static_cast<int>(reg.rings.size()));
     reg.rings.push_back(t_ring);
   }
   return *t_ring;
@@ -292,25 +310,19 @@ void clear_all() {
 }
 
 void set_ring_capacity(std::size_t events) {
-  g_capacity.store(
-      clamp_capacity(events, "set_ring_capacity(" + std::to_string(events) + ")"),
-      std::memory_order_relaxed);
+  if (events > kMaxRingEvents) {
+    std::fprintf(stderr,
+                 "vpar trace: set_ring_capacity(%zu) is above the maximum; "
+                 "using %zu events per thread\n",
+                 events, kMaxRingEvents);
+    events = kMaxRingEvents;
+  }
+  g_capacity.store(round_up_pow2(events > 0 ? events : 1), std::memory_order_relaxed);
 }
 
-std::size_t ring_capacity() { return g_capacity.load(std::memory_order_relaxed); }
-
-std::size_t detail::ring_capacity_from_env(const char* s) {
-  if (s == nullptr || *s == '\0') return kDefaultRingEvents;
-  const std::string request = std::string("VPAR_TRACE_EVENTS=") + s;
-  char* end = nullptr;
-  // strtoull saturates at ULLONG_MAX on overflow, which then clamps.
-  const unsigned long long n = std::strtoull(s, &end, 10);
-  if (std::isdigit(static_cast<unsigned char>(*s)) == 0 || *end != '\0') {
-    warn_capacity(request, "is not a number", kDefaultRingEvents);
-    return kDefaultRingEvents;
-  }
-  if (n == 0) return kDefaultRingEvents;
-  return clamp_capacity(n, request);
+std::size_t ring_capacity() {
+  const std::size_t capacity = g_capacity.load(std::memory_order_relaxed);
+  return capacity != 0 ? capacity : kDefaultRingEvents;
 }
 
 }  // namespace vpar::trace

@@ -28,8 +28,9 @@ namespace detail {
 /// The mode word before VPAR_TRACE has been read (or set_mode called).
 inline constexpr int kModeUnread = -1;
 extern std::atomic<int> g_mode;
-/// Read VPAR_TRACE into g_mode and return the mode word; a rejected value
-/// throws and leaves the word unread, so the next use throws again.
+/// Read VPAR_TRACE into g_mode, and VPAR_TRACE_EVENTS into the ring
+/// capacity, and return the mode word; a rejected value of either throws and
+/// leaves the word unread, so the next use throws again.
 int read_mode_env();
 /// The Mode a VPAR_TRACE value selects: off|flight|on|1|full; null or empty
 /// is Off. Anything else throws std::invalid_argument naming the accepted
@@ -38,7 +39,8 @@ int read_mode_env();
 }  // namespace detail
 
 /// Cheapest possible enabled check — one relaxed atomic load, inlined into
-/// every instrumentation site (the first use also reads VPAR_TRACE).
+/// every instrumentation site (the first use also reads VPAR_TRACE and
+/// VPAR_TRACE_EVENTS).
 inline bool enabled() {
   const int m = detail::g_mode.load(std::memory_order_relaxed);
   if (m == detail::kModeUnread) [[unlikely]] return detail::read_mode_env() != 0;
@@ -46,6 +48,8 @@ inline bool enabled() {
 }
 
 [[nodiscard]] Mode mode();
+/// Set the mode in code; VPAR_TRACE is then not read. VPAR_TRACE_EVENTS
+/// still is, here if nothing has read it yet (a bad value throws).
 void set_mode(Mode mode);
 
 /// True only in Full mode (lossless spill instead of ring overwrite).
@@ -162,21 +166,26 @@ struct ThreadTrace {
 void clear_all();
 
 /// Largest ring capacity: 2^20 events per thread (56 MiB per thread at 56
-/// bytes per event). VPAR_TRACE_EVENTS and set_ring_capacity clamp to it.
+/// bytes per event). set_ring_capacity clamps to it; a larger
+/// VPAR_TRACE_EVENTS throws.
 inline constexpr std::size_t kMaxRingEvents = std::size_t{1} << 20;
 
-/// Ring capacity (events per thread) for rings created after this call.
-/// Defaults to VPAR_TRACE_EVENTS or 8192; rounded up to a power of two and
-/// clamped to kMaxRingEvents. A clamped value, or a VPAR_TRACE_EVENTS that
-/// is not a number (it then falls back to 8192), prints one stderr warning.
+/// Ring capacity (events per thread) for rings created after this call,
+/// rounded up to a power of two and clamped to kMaxRingEvents (a clamp
+/// prints one stderr warning). Wins over VPAR_TRACE_EVENTS if it comes
+/// first; the variable is read with VPAR_TRACE on the first use of the
+/// tracer, or by set_mode if that comes first.
 void set_ring_capacity(std::size_t events);
 
-/// Capacity of rings created from now on (a power of two).
+/// Capacity of rings created from now on (a power of two; 8192 until
+/// VPAR_TRACE_EVENTS has been read).
 [[nodiscard]] std::size_t ring_capacity();
 
 namespace detail {
-/// The ring capacity a VPAR_TRACE_EVENTS value selects (null, empty or 0:
-/// the 8192 default); the parser behind the default, exposed for tests.
+/// The ring capacity a VPAR_TRACE_EVENTS value selects: a whole number up
+/// to kMaxRingEvents, rounded up to a power of two; null, empty or 0 select
+/// 8192. Anything else throws std::invalid_argument naming the accepted
+/// form. The parser behind the first-use read, exposed for tests.
 [[nodiscard]] std::size_t ring_capacity_from_env(const char* value);
 }  // namespace detail
 

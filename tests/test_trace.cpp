@@ -258,17 +258,30 @@ TEST_F(TraceTest, RingCapacityClampsToTheMaximum) {
   set_ring_capacity(0);
   EXPECT_EQ(ring_capacity(), 1u);
   set_ring_capacity(8192);
+}
 
-  // VPAR_TRACE_EVENTS: out-of-range values used to abort the process with
-  // length_error or bad_alloc when the first ring was allocated.
-  EXPECT_EQ(detail::ring_capacity_from_env("99999999999999999999"), kMaxRingEvents);
-  EXPECT_EQ(detail::ring_capacity_from_env("4294967296"), kMaxRingEvents);
+// VPAR_TRACE_EVENTS is parsed strictly: a whole number up to the maximum,
+// rounded up to a power of two; 0, empty or unset select 8192. Anything else
+// throws and names the accepted form. (Out-of-range values once aborted the
+// process when the first ring was allocated; later they were clamped, and a
+// non-number fell back to 8192, each with a warning.)
+TEST(TraceEnv, EventsParserAcceptsWholeNumbersUpToTheMaximum) {
   EXPECT_EQ(detail::ring_capacity_from_env("1000"), 1024u);
-  EXPECT_EQ(detail::ring_capacity_from_env("many"), 8192u);
-  EXPECT_EQ(detail::ring_capacity_from_env("64k"), 8192u);
-  EXPECT_EQ(detail::ring_capacity_from_env("-5"), 8192u);
+  EXPECT_EQ(detail::ring_capacity_from_env("1048576"), kMaxRingEvents);
   EXPECT_EQ(detail::ring_capacity_from_env("0"), 8192u);
+  EXPECT_EQ(detail::ring_capacity_from_env(""), 8192u);
   EXPECT_EQ(detail::ring_capacity_from_env(nullptr), 8192u);
+  for (const char* bad : {"99999999999999999999", "4294967296", "1048577", "many",
+                          "64k", "-5", "+5", " 5", "5 "}) {
+    try {
+      (void)detail::ring_capacity_from_env(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("whole number <= 1048576"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+  }
 }
 
 // VPAR_TRACE is parsed strictly: a typo throws and names the accepted values
@@ -309,6 +322,22 @@ TEST_F(TraceTest, ModeIsReadOnFirstUse) {
   EXPECT_TRUE(enabled());
   EXPECT_EQ(mode(), Mode::Full);
   unsetenv("VPAR_TRACE");
+}
+
+// VPAR_TRACE_EVENTS is read with VPAR_TRACE, so a bad capacity throws to
+// simrt::run before any rank starts, never from a thread's first emit.
+TEST_F(TraceTest, EventsAreReadWithTheMode) {
+  ASSERT_EQ(setenv("VPAR_TRACE_EVENTS", "64k", 1), 0);
+  detail::g_mode.store(detail::kModeUnread);
+  EXPECT_THROW((void)enabled(), std::invalid_argument);
+  EXPECT_THROW((void)mode(), std::invalid_argument);
+  bool ran = false;
+  EXPECT_THROW(simrt::run(1, [&](simrt::Communicator&) { ran = true; }),
+               std::invalid_argument);
+  EXPECT_FALSE(ran);
+  ASSERT_EQ(setenv("VPAR_TRACE_EVENTS", "1000", 1), 0);
+  EXPECT_NO_THROW((void)mode());
+  unsetenv("VPAR_TRACE_EVENTS");
 }
 
 TEST_F(TraceTest, SpanRecordsDurationAndThreadRank) {
