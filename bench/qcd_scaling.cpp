@@ -1,15 +1,19 @@
 // QCD strong-scaling probe on the build host: real instrumented runs of
 // the staggered Dslash application (not the machine model), P ranks as
-// pooled threads over the in-process transport — the 1-core-honest
-// convention of EXPERIMENTS.md. For each concurrency it reports the wall
-// time, the measured communication fraction (sum of qcd.exchange span time
-// over sum of stepping-loop time across ranks, a CPU-time ratio that is
-// independent of how many cores the host lends the pool), and the per-rank
-// halo traffic of one exchange from the planned schedule.
+// pooled threads over the in-process transport; above the host's core count
+// the ranks share cores. Each P gets one untimed warm-up run, then kRuns
+// timed runs. For each concurrency it reports the median wall time, the
+// site-update rate and the measured communication fraction (sum of
+// qcd.exchange span time over sum of stepping-loop time across ranks, a
+// CPU-time ratio that is independent of how many cores the host lends the
+// pool), each with its min-max over the timed runs, and the per-rank halo
+// traffic of one exchange from the planned schedule.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "core/report.hpp"
@@ -21,10 +25,20 @@
 
 namespace {
 
+constexpr int kRuns = 5;
+
 struct Sample {
   double wall_seconds = 0.0;
   double comm_fraction = 0.0;
 };
+
+/// "median (min-max)" of `values`, each formatted by `fmt`.
+template <typename Fmt>
+std::string median_range(std::vector<double> values, Fmt fmt) {
+  std::sort(values.begin(), values.end());
+  return fmt(values[values.size() / 2]) + " (" + fmt(values.front()) + "-" +
+         fmt(values.back()) + ")";
+}
 
 Sample run_once(int procs, const vpar::qcd::Options& options, int steps) {
   using namespace vpar;
@@ -73,7 +87,8 @@ int main() {
   const int steps = 24;
 
   std::cout << "\n== QCD strong scaling, 16^3 x 32 lattice, " << steps
-            << " steps (measured on this host, in-process transport) ==\n\n";
+            << " steps (measured on this host, in-process transport; median "
+            << "(min-max) of " << kRuns << " runs after a warm-up) ==\n\n";
 
   core::Table t({"P", "rank grid", "wall (s)", "Msites/s", "comm frac",
                  "halo KiB/rank/exch"});
@@ -81,7 +96,14 @@ int main() {
       double(options.nx * options.ny * options.nz * options.nt) * steps;
   for (int p : {1, 2, 3, 4, 6, 8, 12, 16}) {
     const auto dims = qcd::Simulation::resolve_dims(options, p);
-    const auto sample = run_once(p, options, steps);
+    (void)run_once(p, options, steps);  // warm-up: pool growth, first-touch pages
+    std::vector<double> walls, rates, fractions;
+    for (int r = 0; r < kRuns; ++r) {
+      const auto sample = run_once(p, options, steps);
+      walls.push_back(sample.wall_seconds);
+      rates.push_back(site_updates / sample.wall_seconds / 1e6);
+      fractions.push_back(sample.comm_fraction);
+    }
 
     qcd::ScalingConfig config;
     config.nx = options.nx;
@@ -98,9 +120,9 @@ int main() {
     std::snprintf(grid, sizeof(grid), "%dx%dx%dx%d", dims[0], dims[1], dims[2],
                   dims[3]);
     t.add_row({std::to_string(p), grid,
-               core::fmt_fixed(sample.wall_seconds, 3),
-               core::fmt_fixed(site_updates / sample.wall_seconds / 1e6, 2),
-               core::fmt_pct(sample.comm_fraction),
+               median_range(walls, [](double v) { return core::fmt_fixed(v, 3); }),
+               median_range(rates, [](double v) { return core::fmt_fixed(v, 1); }),
+               median_range(fractions, core::fmt_pct),
                core::fmt_fixed(halo_bytes / 1024.0, 1)});
   }
   t.print(std::cout);
