@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -75,7 +76,7 @@ Sample run_once(int procs, const vpar::qcd::Options& options, int steps) {
 
 }  // namespace
 
-int main() {
+int main() try {
   using namespace vpar;
 
   qcd::Options options;
@@ -130,4 +131,9 @@ int main() {
                "time, summed over ranks;\n halo column = planned per-rank "
                "send bytes of one halo exchange, all four axes.)\n";
   return 0;
+} catch (const std::exception& e) {
+  // A rejected input (a malformed VPAR_* variable, say) ends the program
+  // with its message and exit status 2, not std::terminate.
+  std::fprintf(stderr, "qcd_scaling: %s\n", e.what());
+  return 2;
 }

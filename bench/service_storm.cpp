@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <span>
@@ -200,7 +201,7 @@ double percentile(std::vector<double>& sorted, double p) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   int jobs = 1200;
   int lanes = 3;
   std::uint64_t seed = 20040101;
@@ -402,4 +403,9 @@ int main(int argc, char** argv) {
   }
   std::cout << json;
   return ok ? 0 : 1;
+} catch (const std::exception& e) {
+  // A rejected input (a malformed VPAR_* variable, say) ends the program
+  // with its message and exit status 2, not std::terminate.
+  std::fprintf(stderr, "service_storm: %s\n", e.what());
+  return 2;
 }

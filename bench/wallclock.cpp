@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -329,7 +330,9 @@ std::vector<SimdProbe> run_simd_probes() {
         grid.ey_plane(pl)[i] = 0.01 * static_cast<double>(i % 19) - 0.09;
       }
     }
-    std::vector<double> exg(grid.plane_size(), 0.01), eyg(grid.plane_size(), -0.02);
+    const int ghost = grid.planes_local();
+    std::fill_n(grid.ex_plane(ghost), grid.plane_size(), 0.01);
+    std::fill_n(grid.ey_plane(ghost), grid.plane_size(), -0.02);
     vpar::gtc::ParticleSet particles;
     const std::size_t np = 10 * grid.plane_size();
     for (std::size_t i = 0; i < np; ++i) {
@@ -339,7 +342,7 @@ std::vector<SimdProbe> run_simd_probes() {
     }
     probes.push_back(simd_probe("gtc_push_deposit", [&] {
       for (int r = 0; r < 12; ++r) {
-        vpar::gtc::gather_push(particles, grid, exg, eyg, 1e-3, 1.0);
+        vpar::gtc::gather_push(particles, grid, 1e-3, 1.0);
         vpar::gtc::deposit(particles, grid, vpar::gtc::DepositVariant::WorkVector, 32);
         grid.zero_charge();
       }
@@ -382,7 +385,7 @@ std::vector<SimdProbe> run_simd_probes() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_wallclock.json";
 
   // Warm the runtime (and, when pooled, the worker team) at the largest P so
@@ -561,4 +564,9 @@ int main(int argc, char** argv) {
   out << "}\n";
   std::cout << "wrote " << out_path << "\n";
   return 0;
+} catch (const std::exception& e) {
+  // A rejected input (a malformed VPAR_* variable, say) ends the program
+  // with its message and exit status 2, not std::terminate.
+  std::fprintf(stderr, "wallclock: %s\n", e.what());
+  return 2;
 }

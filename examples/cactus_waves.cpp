@@ -8,12 +8,13 @@
 
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <numbers>
 
 #include "cactus/evolve.hpp"
 #include "simrt/runtime.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vpar;
   const int crossings = argc > 1 ? std::atoi(argv[1]) : 2;
 
@@ -66,4 +67,9 @@ int main(int argc, char** argv) {
     }
   });
   return 0;
+} catch (const std::exception& e) {
+  // A rejected input (a malformed VPAR_* variable, say) ends the program
+  // with its message and exit status 2, not std::terminate.
+  std::fprintf(stderr, "cactus_waves: %s\n", e.what());
+  return 2;
 }

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -36,7 +37,7 @@ void write_pgm(const std::string& path, const std::vector<double>& field,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vpar;
   const int steps = argc > 1 ? std::atoi(argv[1]) : 40;
   const std::string output = argc > 2 ? argv[2] : "gtc_phi.pgm";
@@ -78,4 +79,9 @@ int main(int argc, char** argv) {
   std::printf("\nBoth deposition variants drive identical physics; only their "
               "vectorizability differs (paper Figure 8, section 6.1).\n");
   return 0;
+} catch (const std::exception& e) {
+  // A rejected input (a malformed VPAR_* variable, say) ends the program
+  // with its message and exit status 2, not std::terminate.
+  std::fprintf(stderr, "gtc_turbulence: %s\n", e.what());
+  return 2;
 }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -37,7 +38,7 @@ void write_pgm(const std::string& path, const std::vector<double>& field,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vpar;
   const int total_steps = argc > 1 ? std::atoi(argv[1]) : 400;
   const std::string prefix = argc > 2 ? argv[2] : "lbmhd_jz";
@@ -72,4 +73,9 @@ int main(int argc, char** argv) {
   std::printf("\nThe PGM frames show the crosses decaying into current "
               "sheets (paper Figure 1).\n");
   return 0;
+} catch (const std::exception& e) {
+  // A rejected input (a malformed VPAR_* variable, say) ends the program
+  // with its message and exit status 2, not std::terminate.
+  std::fprintf(stderr, "lbmhd_decay: %s\n", e.what());
+  return 2;
 }

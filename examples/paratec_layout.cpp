@@ -4,6 +4,7 @@
 // showing the CG eigensolver converging on a silicon-like potential.
 
 #include <cstdio>
+#include <exception>
 
 #include "paratec/basis.hpp"
 #include "paratec/hamiltonian.hpp"
@@ -11,7 +12,7 @@
 #include "paratec/solver.hpp"
 #include "simrt/runtime.hpp"
 
-int main() {
+int main() try {
   using namespace vpar;
 
   // --- Figure 4a: column assignment over 3 processors ----------------------
@@ -61,4 +62,9 @@ int main() {
     }
   });
   return 0;
+} catch (const std::exception& e) {
+  // A rejected input (a malformed VPAR_* variable, say) ends the program
+  // with its message and exit status 2, not std::terminate.
+  std::fprintf(stderr, "paratec_layout: %s\n", e.what());
+  return 2;
 }

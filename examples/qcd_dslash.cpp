@@ -10,11 +10,12 @@
 // and the checksum must come out identical to the in-process run.
 
 #include <cstdio>
+#include <exception>
 
 #include "qcd/simulation.hpp"
 #include "simrt/runtime.hpp"
 
-int main() {
+int main() try {
   using namespace vpar;
 
   simrt::run(4, [](simrt::Communicator& comm) {
@@ -50,4 +51,9 @@ int main() {
     }
   });
   return 0;
+} catch (const std::exception& e) {
+  // A rejected input (a malformed VPAR_* variable, say) ends the program
+  // with its message and exit status 2, not std::terminate.
+  std::fprintf(stderr, "qcd_dslash: %s\n", e.what());
+  return 2;
 }

@@ -4,6 +4,7 @@
 // the headline comparison of the paper in ~60 lines.
 
 #include <cstdio>
+#include <exception>
 #include <iostream>
 
 #include "arch/machine_model.hpp"
@@ -14,7 +15,7 @@
 #include "lbmhd/workload.hpp"
 #include "simrt/runtime.hpp"
 
-int main() {
+int main() try {
   using namespace vpar;
 
   // 1. A real (small) run: 64^2 grid, 2x2 processor grid, 50 steps.
@@ -56,4 +57,9 @@ int main() {
   }
   std::printf("\nThat ~30-40x gap is the paper's headline result.\n");
   return 0;
+} catch (const std::exception& e) {
+  // A rejected input (a malformed VPAR_* variable, say) ends the program
+  // with its message and exit status 2, not std::terminate.
+  std::fprintf(stderr, "quickstart: %s\n", e.what());
+  return 2;
 }

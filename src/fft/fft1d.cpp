@@ -73,6 +73,7 @@ void Fft1d::radix2(std::span<Complex> data, bool invert) const {
   // stages and scaling with the j loop vectorized, bitwise identically.
   if (simd::use_simd()) {
     detail::radix2_simd(data.data(), n, tables, invert);
+    detail::record_radix2_spans(n, 1);
   } else {
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t j = tables.bitrev[i];

@@ -19,18 +19,19 @@ unsigned log2_exact(std::size_t n) {
 }
 
 /// Transform sequences [t0, t1) of a batch of `count` length-`n` FFTs laid
-/// out contiguously in `data`. Plain function over raw pointers so the
+/// out contiguously in `data`; `vector` (simd::use_simd(), read once per
+/// batch) picks the SIMD kernel. Plain function over raw pointers so the
 /// serial path (and each hybrid sub-batch) compiles to the same tight
 /// batch-inner loops the pre-hybrid code had — routing these loops through a
 /// capturing std::function costs ~2.4x on the serial FFT bench.
 void transform_range(Complex* data, std::size_t n, const TwiddleTables& tables,
-                     bool invert, std::size_t t0, std::size_t t1) {
+                     bool invert, bool vector, std::size_t t0, std::size_t t1) {
   // Runtime dispatch: with host SIMD the long j loop inside each transform
   // beats the strided (stride n complexes) batch-inner walk, so run the
   // sequences one at a time through the vectorized radix-2 kernel. Each
   // sequence's operation order is unchanged, so results stay bitwise
   // identical to the batch-inner loop below.
-  if (simd::use_simd()) {
+  if (vector) {
     for (std::size_t t = t0; t < t1; ++t) {
       detail::radix2_simd(data + t * n, n, tables, invert);
     }
@@ -106,13 +107,16 @@ void MultiFft1d::simultaneous(std::span<Complex> data, std::size_t count,
   // sub-batch). With no helpers available, call the transform directly —
   // same function, full range — keeping the hot serial path free of any
   // indirection.
+  const bool vector = simd::use_simd();
   if (simrt::parallel_width() == 1) {
-    transform_range(data.data(), n, tables, invert, 0, count);
+    transform_range(data.data(), n, tables, invert, vector, 0, count);
   } else {
     simrt::parallel_for(0, count, 0, [&](std::size_t t0, std::size_t t1) {
-      transform_range(data.data(), n, tables, invert, t0, t1);
+      transform_range(data.data(), n, tables, invert, vector, t0, t1);
     });
   }
+  // The whole batch's spans in one record, whichever threads ran it.
+  if (vector) detail::record_radix2_spans(n, count);
 
   // The vector loop is the batch loop: trips == count, independent of n.
   perf::LoopRecord rec;

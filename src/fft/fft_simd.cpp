@@ -137,17 +137,26 @@ void radix2_simd(Complex* seq, std::size_t n, const TwiddleTables& tables,
 #endif
     default: radix2_w<1>(seq, n, tables, invert); break;
   }
+}
+
+void record_radix2_spans(std::size_t n, std::size_t count) {
+  const std::size_t w = simd::active_width();
   // Per stage, every block runs half/(w/2) full vectors plus half%(w/2)
   // scalar butterflies (2 doubles each) — the measured short-vector profile.
+  // Only the short early stages leave a partial iteration; the full-width
+  // iterations of every stage go out in one record.
+  std::size_t full = 0;  // full-width iterations of one transform
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const std::size_t half = len / 2;
     if (w == 1) {
-      simd::record_spans(1, n / len, half, 0);
-    } else {
-      const std::size_t kc = w / 2;
-      simd::record_spans(w, n / len, half / kc, 2 * (half % kc));
+      full += n / len * half;
+      continue;
     }
+    const std::size_t kc = w / 2;
+    full += n / len * (half / kc);
+    if (half % kc != 0) simd::record_spans(w, count * (n / len), 0, 2 * (half % kc));
   }
+  simd::record_spans(w, count, full, 0);
 }
 
 }  // namespace vpar::fft::detail

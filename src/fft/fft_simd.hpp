@@ -15,7 +15,15 @@ namespace vpar::fft::detail {
 /// the classic short-vector-length regime of single-transform FFTs the paper
 /// measures (§5.4) — and every butterfly rounds exactly like the scalar
 /// reference loop in Fft1d::radix2, so the result is bitwise identical.
+/// Records nothing: the caller records the whole call with
+/// record_radix2_spans.
 void radix2_simd(std::complex<double>* seq, std::size_t n,
                  const TwiddleTables& tables, bool invert);
+
+/// Record the simd.* spans of `count` radix2_simd transforms of length `n`
+/// at the active width, in one go per call: a few shared atomic adds per
+/// distinct stage shape, not per stage of every transform. The totals are
+/// those of `count` times one transform's stages.
+void record_radix2_spans(std::size_t n, std::size_t count);
 
 }  // namespace vpar::fft::detail

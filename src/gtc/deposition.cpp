@@ -199,18 +199,21 @@ void deposit(const ParticleSet& particles, TorusGrid& grid, DepositVariant varia
         partial.assign(kHybridDepositChunks * copy, 0.0);
       }
       double* const partial_base = partial.data();
+      const bool vector = simd::use_simd();
       simrt::parallel_for(0, n, grain, [&](std::size_t lo, std::size_t hi) {
         double* mine = partial_base + (lo / grain) * copy;
-        for (std::size_t i = lo; i < hi; ++i) {
-          deposit_one(particles, i, grid, mine, plane_stride);
-        }
+        // Runtime dispatch: vector strips build the stencils, and every
+        // marker still scatters in marker order (bitwise the scalar loop);
+        // the ragged tail runs the scalar reference.
+        std::size_t i =
+            vector ? detail::deposit_strips(particles, grid, mine, lo, hi) : lo;
+        for (; i < hi; ++i) deposit_one(particles, i, grid, mine, plane_stride);
       });
       // Deterministic reduction, re-zeroing behind the read like WorkVector.
       double* __restrict charge = grid.charge().data();
-      const bool fold_simd = simd::use_simd();
       for (std::size_t c = 0; c < kHybridDepositChunks; ++c) {
         double* __restrict w = partial_base + c * copy;
-        if (fold_simd) {
+        if (vector) {
           // Element-wise fold in the same ascending chunk order: bitwise
           // identical to the scalar sweep.
           detail::deposit_fold_simd(charge, w, copy);

@@ -26,6 +26,15 @@ struct ParticleSet {
 
   void clear() { resize(0); }
 
+  void reserve(std::size_t n) {
+    x.reserve(n);
+    y.reserve(n);
+    zeta.reserve(n);
+    vpar.reserve(n);
+    rho.reserve(n);
+    q.reserve(n);
+  }
+
   void push_back(double xi, double yi, double zi, double vi, double ri, double qi) {
     x.push_back(xi);
     y.push_back(yi);

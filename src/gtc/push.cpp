@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <numbers>
-#include <stdexcept>
 
 #include "gtc/deposition.hpp"
 #include "gtc/gtc_simd.hpp"
@@ -17,55 +16,59 @@ double push_flops_per_particle() {
   return 70.0 + 128.0 + 12.0;
 }
 
-void gather_push(ParticleSet& particles, const TorusGrid& grid,
-                 const std::vector<double>& ex_ghost,
-                 const std::vector<double>& ey_ghost, double dt, double b0) {
-  const std::size_t n = particles.size();
-  const std::size_t ps = grid.plane_size();
-  if (ex_ghost.size() != ps || ey_ghost.size() != ps) {
-    throw std::runtime_error("gather_push: ghost plane size mismatch");
-  }
+namespace {
+
+/// The scalar reference push of markers [lo, hi).
+void push_span(ParticleSet& particles, const TorusGrid& grid, double dt,
+               double b0, std::size_t lo, std::size_t hi) {
   const double two_pi = 2.0 * std::numbers::pi;
   const double nx = static_cast<double>(grid.ngx());
   const double ny = static_cast<double>(grid.ngy());
+  DepositStencil st;
+  for (std::size_t i = lo; i < hi; ++i) {
+    compute_stencil(grid, particles.x[i], particles.y[i], particles.zeta[i],
+                    particles.rho[i], st);
+    double ex = 0.0, ey = 0.0;
+    for (int b = 0; b < 2; ++b) {
+      const double* exp_ = grid.ex_plane(st.plane[b]);  // may be the ghost
+      const double* eyp = grid.ey_plane(st.plane[b]);
+      const double w = st.wplane[b];
+      for (int c = 0; c < 16; ++c) {
+        // One shared weight product per cell; left-to-right evaluation makes
+        // this the same rounding as the w * wcell * field form.
+        const double wc = w * st.wcell[c];
+        ex += wc * exp_[st.cell[c]];
+        ey += wc * eyp[st.cell[c]];
+      }
+    }
+    // ExB drift with B = b0 z-hat (the gyro-average is the 4-point ring).
+    // One drift step moves a marker at most one period, so the wrap fast
+    // path applies almost always; it is bitwise identical to fmod-then-fixup.
+    particles.x[i] = wrap_periodic(particles.x[i] + dt * ey / b0, nx);
+    particles.y[i] = wrap_periodic(particles.y[i] - dt * ex / b0, ny);
+    particles.zeta[i] =
+        wrap_periodic(particles.zeta[i] + dt * particles.vpar[i], two_pi);
+  }
+}
+
+}  // namespace
+
+void gather_push(ParticleSet& particles, const TorusGrid& grid, double dt,
+                 double b0) {
+  const std::size_t n = particles.size();
+  const std::size_t ps = grid.plane_size();
 
   // Each marker only reads the field planes and writes its own slots, so the
   // particle loop splits across idle pool workers bitwise-safely; the stencil
   // scratch is per-chunk so serving threads never share it.
   simrt::parallel_for(0, n, 0, [&](std::size_t lo, std::size_t hi) {
-    // Runtime dispatch: the SIMD span kernel accumulates each particle's 32
-    // field terms in the scalar order (bitwise identical E and drift).
-    if (simd::use_simd()) {
-      detail::gather_push_span_simd(particles, grid, ex_ghost.data(),
-                                    ey_ghost.data(), dt, b0, lo, hi);
-      return;
-    }
-    DepositStencil st;
-    for (std::size_t i = lo; i < hi; ++i) {
-      compute_stencil(grid, particles.x[i], particles.y[i], particles.zeta[i],
-                      particles.rho[i], st);
-      double ex = 0.0, ey = 0.0;
-      for (int b = 0; b < 2; ++b) {
-        const bool ghost = st.plane[b] == grid.planes_local();
-        const double* exp_ = ghost ? ex_ghost.data() : grid.ex_plane(st.plane[b]);
-        const double* eyp = ghost ? ey_ghost.data() : grid.ey_plane(st.plane[b]);
-        const double w = st.wplane[b];
-        for (int c = 0; c < 16; ++c) {
-          // One shared weight product per cell; left-to-right evaluation makes
-          // this the same rounding as the w * wcell * field form.
-          const double wc = w * st.wcell[c];
-          ex += wc * exp_[st.cell[c]];
-          ey += wc * eyp[st.cell[c]];
-        }
-      }
-      // ExB drift with B = b0 z-hat (the gyro-average is the 4-point ring).
-      // One drift step moves a marker at most one period, so the wrap fast
-      // path applies almost always; it is bitwise identical to fmod-then-fixup.
-      particles.x[i] = wrap_periodic(particles.x[i] + dt * ey / b0, nx);
-      particles.y[i] = wrap_periodic(particles.y[i] - dt * ex / b0, ny);
-      particles.zeta[i] =
-          wrap_periodic(particles.zeta[i] + dt * particles.vpar[i], two_pi);
-    }
+    // Runtime dispatch: the SIMD strips accumulate each marker's 32 field
+    // terms in the scalar order (bitwise identical E and drift); the ragged
+    // tail runs the scalar reference.
+    const std::size_t tail =
+        simd::use_simd() ? detail::gather_push_strips(particles, grid, dt, b0, lo, hi)
+                         : lo;
+    push_span(particles, grid, dt, b0, tail, hi);
   });
 
   perf::LoopRecord rec;

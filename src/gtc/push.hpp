@@ -12,11 +12,11 @@ namespace vpar::gtc {
 ///   dx/dt =  Ey / b0,  dy/dt = -Ex / b0,  dzeta/dt = vpar.
 /// Cross-section coordinates wrap periodically; zeta wraps globally to
 /// [0, 2pi) and may leave this rank's domain (the shift step migrates those
-/// markers). `ex_ghost`/`ey_ghost` are the right neighbour's first-plane
-/// fields, needed by markers between the last owned plane and the boundary.
-void gather_push(ParticleSet& particles, const TorusGrid& grid,
-                 const std::vector<double>& ex_ghost,
-                 const std::vector<double>& ey_ghost, double dt, double b0);
+/// markers). Markers between the last owned plane and the boundary read the
+/// ex/ey ghost plane (grid.ex_plane(planes_local)), which must hold the right
+/// neighbour's first plane.
+void gather_push(ParticleSet& particles, const TorusGrid& grid, double dt,
+                 double b0);
 
 [[nodiscard]] double push_flops_per_particle();
 

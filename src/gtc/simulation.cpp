@@ -12,8 +12,7 @@ namespace vpar::gtc {
 
 Simulation::Simulation(simrt::Communicator& comm, const Options& options)
     : comm_(&comm), options_(options),
-      grid_(options.ngx, options.ngy, options.nplanes, comm.size(), comm.rank()),
-      ex_ghost_(grid_.plane_size(), 0.0), ey_ghost_(grid_.plane_size(), 0.0) {}
+      grid_(options.ngx, options.ngy, options.nplanes, comm.size(), comm.rank()) {}
 
 void Simulation::load_particles() {
   particles_.clear();
@@ -28,6 +27,10 @@ void Simulation::load_particles() {
                             static_cast<std::size_t>(grid_.planes_local());
   const std::size_t count =
       cells * static_cast<std::size_t>(options_.particles_per_cell);
+  // One allocation per array: grown by push_back, the six arrays would end
+  // at the next power of two and pass through copies on the way, which set
+  // the process's peak memory.
+  particles_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     // Quiet start: alternate charge signs for mean quasi-neutrality.
     const double q = (i % 2 == 0) ? 1.0 : -1.0;
@@ -50,13 +53,16 @@ void Simulation::flush_ghost_plane() {
 }
 
 void Simulation::fetch_ghost_efield() {
+  // Our first field plane goes left; the right neighbour's first plane lands
+  // in our ghost plane.
   const std::size_t ps = grid_.plane_size();
+  const int ghost = grid_.planes_local();
   const int right = (comm_->rank() + 1) % comm_->size();
   const int left = (comm_->rank() + comm_->size() - 1) % comm_->size();
   comm_->sendrecv<double>(left, std::span<const double>(grid_.ex_plane(0), ps),
-                          right, std::span<double>(ex_ghost_), 402);
+                          right, std::span<double>(grid_.ex_plane(ghost), ps), 402);
   comm_->sendrecv<double>(left, std::span<const double>(grid_.ey_plane(0), ps),
-                          right, std::span<double>(ey_ghost_), 403);
+                          right, std::span<double>(grid_.ey_plane(ghost), ps), 403);
 }
 
 void Simulation::deposit_phase() {
@@ -75,14 +81,13 @@ void Simulation::solve_phase() {
   trace::TraceSpan span("gtc.solve",
                         static_cast<std::int64_t>(grid_.plane_size()));
   solve_poisson(grid_);
-  compute_efield(grid_);
   fetch_ghost_efield();
 }
 
 void Simulation::push_phase() {
   trace::TraceSpan span("gtc.push",
                         static_cast<std::int64_t>(particles_.size()));
-  gather_push(particles_, grid_, ex_ghost_, ey_ghost_, options_.dt, options_.b0);
+  gather_push(particles_, grid_, options_.dt, options_.b0);
 }
 
 void Simulation::shift_phase() {

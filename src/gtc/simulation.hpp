@@ -85,7 +85,6 @@ class Simulation {
   Options options_;
   TorusGrid grid_;
   ParticleSet particles_;
-  std::vector<double> ex_ghost_, ey_ghost_;
 };
 
 }  // namespace vpar::gtc

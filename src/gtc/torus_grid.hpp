@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <numbers>
 #include <stdexcept>
 #include <vector>
@@ -15,7 +16,14 @@ namespace vpar::gtc {
 ///
 /// The charge array holds one extra "ghost" plane: particles between this
 /// rank's last plane and the neighbour's first deposit into it, and the
-/// ghost is flushed to the right neighbour after deposition.
+/// ghost is flushed to the right neighbour after deposition. The field
+/// arrays ex/ey carry the same ghost plane the other way round: it holds the
+/// right neighbour's first plane (Simulation fetches it after the solve), so
+/// the push gathers from planes [0, planes_local] of one array.
+///
+/// A rank's planes, ghost included, index with 32-bit offsets (the SIMD
+/// stencil strips store int32 cell indices), so they must hold fewer than
+/// 2^31 points.
 class TorusGrid {
  public:
   TorusGrid(std::size_t ngx, std::size_t ngy, int nplanes_global, int procs,
@@ -27,10 +35,15 @@ class TorusGrid {
     }
     planes_local_ = nplanes_global / procs;
     plane0_ = rank * planes_local_;
-    charge_.assign(static_cast<std::size_t>(planes_local_ + 1) * plane_size(), 0.0);
+    const std::size_t with_ghost =
+        static_cast<std::size_t>(planes_local_ + 1) * plane_size();
+    if (with_ghost > static_cast<std::size_t>(INT32_MAX)) {
+      throw std::runtime_error("TorusGrid: a rank's planes exceed 2^31 points");
+    }
+    charge_.assign(with_ghost, 0.0);
     phi_.assign(static_cast<std::size_t>(planes_local_) * plane_size(), 0.0);
-    ex_.assign(phi_.size(), 0.0);
-    ey_.assign(phi_.size(), 0.0);
+    ex_.assign(with_ghost, 0.0);
+    ey_.assign(with_ghost, 0.0);
   }
 
   [[nodiscard]] std::size_t ngx() const { return ngx_; }
@@ -59,6 +72,7 @@ class TorusGrid {
   [[nodiscard]] double* phi_plane(int p) {
     return phi_.data() + static_cast<std::size_t>(p) * plane_size();
   }
+  /// Field plane p in [0, planes_local] (the last is the ghost plane).
   [[nodiscard]] double* ex_plane(int p) {
     return ex_.data() + static_cast<std::size_t>(p) * plane_size();
   }

@@ -512,6 +512,8 @@ class Communicator {
     return a;
   }
 
+  /// Rounds of a binomial-tree collective over n ranks: 0 for one rank,
+  /// whose collectives move nothing.
   static double log2ceil(int n) {
     double steps = 0.0;
     int v = 1;
@@ -519,7 +521,7 @@ class Communicator {
       v *= 2;
       steps += 1.0;
     }
-    return steps > 0.0 ? steps : 1.0;
+    return steps;
   }
 
   RuntimeState* state_;

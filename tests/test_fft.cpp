@@ -87,7 +87,9 @@ TEST(Fft1d, SinusoidConcentratesInOneBin) {
   plan.forward(x);
   EXPECT_NEAR(std::abs(x[k0]), static_cast<double>(n), 1e-9);
   for (std::size_t k = 0; k < n; ++k) {
-    if (k != k0) EXPECT_LT(std::abs(x[k]), 1e-9);
+    if (k != k0) {
+      EXPECT_LT(std::abs(x[k]), 1e-9);
+    }
   }
 }
 

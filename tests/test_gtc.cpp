@@ -192,16 +192,16 @@ TEST(Push, ExBDriftMatchesAnalytic) {
       }
     }
     compute_efield(grid);
-    std::vector<double> exg(grid.plane_size()), eyg(grid.plane_size());
-    std::copy_n(grid.ex_plane(0), grid.plane_size(), exg.begin());
-    std::copy_n(grid.ey_plane(0), grid.plane_size(), eyg.begin());
+    const int ghost = grid.planes_local();
+    std::copy_n(grid.ex_plane(0), grid.plane_size(), grid.ex_plane(ghost));
+    std::copy_n(grid.ey_plane(0), grid.plane_size(), grid.ey_plane(ghost));
 
     ParticleSet p;
     const double x0 = 16.0, y0 = 20.0;  // on a grid point for exact gather
     p.push_back(x0, y0, 0.5, 0.0, 0.0, 1.0);
     const double dt = 0.01, b0 = 2.0;
     const int steps = 50;
-    for (int s = 0; s < steps; ++s) gather_push(p, grid, exg, eyg, dt, b0);
+    for (int s = 0; s < steps; ++s) gather_push(p, grid, dt, b0);
 
     // Central-difference E at x0 (grid-point sample, kh discretization):
     const double ex_grid = -amp * std::sin(kx) / 1.0 *

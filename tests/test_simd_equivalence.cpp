@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "fft/fft1d.hpp"
 #include "fft/fft_multi.hpp"
 #include "gtc/deposition.hpp"
+#include "gtc/gtc_simd.hpp"
 #include "gtc/push.hpp"
 #include "lbmhd/collision.hpp"
 #include "lbmhd/field_set.hpp"
@@ -128,6 +131,24 @@ gtc::ParticleSet random_particles(const gtc::TorusGrid& grid, std::size_t n,
   return p;
 }
 
+/// Markers that take the strip kernels' scalar fallbacks, one kind per
+/// marker in turn (i % 5): a gyroradius above the grid width (ring points
+/// beyond [-n, 2n)), zeta at zeta_min(), zeta one ulp below zeta_max() (the
+/// ghost plane weighs almost 1), and x three periods out (the drift's wrap
+/// takes fmod too); kind 4 keeps the marker as drawn.
+void add_edge_markers(gtc::ParticleSet& p, const gtc::TorusGrid& grid) {
+  const double nx = static_cast<double>(grid.ngx());
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    switch (i % 5) {
+      case 0: p.rho[i] = 2.5 * nx; break;
+      case 1: p.zeta[i] = grid.zeta_min(); break;
+      case 2: p.zeta[i] = std::nextafter(grid.zeta_max(), 0.0); break;
+      case 3: p.x[i] += 3.0 * nx; break;
+      default: break;
+    }
+  }
+}
+
 void fill_grid_fields(gtc::TorusGrid& grid, unsigned seed) {
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> dist(-0.5, 0.5);
@@ -145,20 +166,21 @@ TEST(SimdEquivalence, GtcGatherPush) {
     fill_grid_fields(grid, 42);
     std::mt19937_64 rng(7);
     std::uniform_real_distribution<double> dist(-0.5, 0.5);
-    std::vector<double> ex_ghost(grid.plane_size()), ey_ghost(grid.plane_size());
-    for (auto& v : ex_ghost) v = dist(rng);
-    for (auto& v : ey_ghost) v = dist(rng);
+    const int ghost = grid.planes_local();
+    for (std::size_t i = 0; i < grid.plane_size(); ++i) grid.ex_plane(ghost)[i] = dist(rng);
+    for (std::size_t i = 0; i < grid.plane_size(); ++i) grid.ey_plane(ghost)[i] = dist(rng);
     for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
                           std::size_t{9}, std::size_t{257}}) {
       gtc::ParticleSet ref = random_particles(grid, n, 1000 + n);
+      add_edge_markers(ref, grid);
       gtc::ParticleSet vec = ref;
       {
         DispatchGuard g(DispatchMode::ForceScalar);
-        gtc::gather_push(ref, grid, ex_ghost, ey_ghost, 0.01, 1.0);
+        gtc::gather_push(ref, grid, 0.01, 1.0);
       }
       {
         DispatchGuard g(DispatchMode::ForceSimd);
-        gtc::gather_push(vec, grid, ex_ghost, ey_ghost, 0.01, 1.0);
+        gtc::gather_push(vec, grid, 0.01, 1.0);
       }
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(vec.x[i], ref.x[i]) << "n=" << n << " i=" << i;
@@ -173,10 +195,12 @@ TEST(SimdEquivalence, GtcDepositFolds) {
   simrt::run(1, [](simrt::Communicator& comm) {
     for (auto variant :
          {gtc::DepositVariant::WorkVector, gtc::DepositVariant::Hybrid}) {
-      for (std::size_t n : {std::size_t{9}, std::size_t{257}}) {
+      for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
+                            std::size_t{9}, std::size_t{257}}) {
         gtc::TorusGrid ref(17, 7, 4, comm.size(), comm.rank());
         gtc::TorusGrid vec(17, 7, 4, comm.size(), comm.rank());
-        const gtc::ParticleSet p = random_particles(ref, n, 2000 + n);
+        gtc::ParticleSet p = random_particles(ref, n, 2000 + n);
+        add_edge_markers(p, ref);
         {
           DispatchGuard g(DispatchMode::ForceScalar);
           gtc::deposit(p, ref, variant, 32);
@@ -191,6 +215,31 @@ TEST(SimdEquivalence, GtcDepositFolds) {
       }
     }
   });
+}
+
+TEST(SimdEquivalence, GtcStencilStripLanesMatchComputeStencil) {
+  DispatchGuard g(DispatchMode::ForceSimd);
+  const std::size_t w = simd::active_width();
+  const gtc::TorusGrid grid(16, 12, 4, 1, 0);
+  gtc::ParticleSet p = random_particles(grid, 64, 3000);
+  add_edge_markers(p, grid);
+  for (std::size_t i0 = 0; i0 + w <= p.size(); i0 += w) {
+    gtc::detail::StencilStrip strip;
+    ASSERT_EQ(gtc::detail::build_stencil_strip(p, grid, i0, strip), w);
+    for (std::size_t l = 0; l < w; ++l) {
+      const std::size_t i = i0 + l;
+      gtc::DepositStencil want{}, lane{};
+      gtc::compute_stencil(grid, p.x[i], p.y[i], p.zeta[i], p.rho[i], want);
+      lane.plane[0] = strip.plane[l];
+      lane.plane[1] = strip.plane[l] + 1;
+      for (int b = 0; b < 2; ++b) lane.wplane[b] = strip.wplane[b][l];
+      for (int c = 0; c < 16; ++c) {
+        lane.cell[c] = static_cast<std::size_t>(strip.cell[c][l]);
+        lane.wcell[c] = strip.wcell[c][l];
+      }
+      ASSERT_EQ(std::memcmp(&lane, &want, sizeof(lane)), 0) << "marker " << i;
+    }
+  }
 }
 
 TEST(SimdEquivalence, Fft1dRoundTrips) {
@@ -353,6 +402,22 @@ SimdCounts operator+(SimdCounts a, const SimdCounts& b) {
   return a;
 }
 
+SimdCounts operator-(SimdCounts a, const SimdCounts& b) {
+  a.vector_iters -= b.vector_iters;
+  a.remainder_iters -= b.remainder_iters;
+  a.lanes_count -= b.lanes_count;
+  a.lanes_sum -= b.lanes_sum;
+  return a;
+}
+
+SimdCounts operator*(SimdCounts a, std::uint64_t k) {
+  a.vector_iters *= k;
+  a.remainder_iters *= k;
+  a.lanes_count *= k;
+  a.lanes_sum *= k;
+  return a;
+}
+
 /// Run `call` and expect it to move the simd.* metrics by exactly `want`.
 template <typename Call>
 void expect_simd_counts(const char* what, const SimdCounts& want, Call&& call) {
@@ -419,6 +484,22 @@ TEST(SimdEquivalence, MetricsRecordVectorSpans) {
                               static_cast<std::ptrdiff_t>(ny), 0,
                               static_cast<std::ptrdiff_t>(nz), cactus::RhsVariant::Vector);
         });
+  }
+
+  // FFT: a simultaneous batch records its spans once per call, and the
+  // totals are exactly those of its transforms one at a time.
+  {
+    constexpr std::size_t n = 64, count = 64;
+    const fft::Fft1d single(n);
+    const fft::MultiFft1d multi(n);
+    std::vector<std::complex<double>> one(n, {0.5, -0.25});
+    std::vector<std::complex<double>> batch(n * count, {0.5, -0.25});
+    const SimdCounts before = read_simd_counts();
+    single.forward(one);
+    const SimdCounts one_transform = read_simd_counts() - before;
+    EXPECT_GT(one_transform.vector_iters, 0u);
+    expect_simd_counts("simultaneous", one_transform * count,
+                       [&] { multi.simultaneous(batch, count); });
   }
 }
 

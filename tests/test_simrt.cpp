@@ -7,6 +7,7 @@
 #include "simrt/coarray.hpp"
 #include "simrt/mailbox.hpp"
 #include "simrt/runtime.hpp"
+#include "trace/metrics.hpp"
 
 namespace vpar::simrt {
 namespace {
@@ -225,6 +226,29 @@ TEST(Simrt, CommStatsRecorded) {
   EXPECT_DOUBLE_EQ(result.per_rank[0].comm().bytes(perf::CommKind::PointToPoint), 800.0);
   EXPECT_DOUBLE_EQ(result.per_rank[1].comm().bytes(perf::CommKind::PointToPoint), 0.0);
   EXPECT_DOUBLE_EQ(result.merged.comm().messages(perf::CommKind::Barrier), 2.0);
+}
+
+TEST(Simrt, OneRankCollectivesRecordNoTraffic) {
+  // A 1-rank allreduce, broadcast or gather never leaves the rank: 0
+  // messages and 0 bytes, in the rank's CommProfile and in the comm.* meters.
+  auto& metrics = trace::Metrics::instance();
+  const std::uint64_t messages = metrics.counter("comm.messages").value();
+  const std::uint64_t bytes = metrics.counter("comm.bytes").value();
+  auto result = run(1, [](Communicator& comm) {
+    EXPECT_DOUBLE_EQ(comm.allreduce(1.5, ReduceOp::Sum), 1.5);
+    std::vector<double> values(8, 2.0);
+    comm.broadcast(std::span<double>(values), 0);
+    std::vector<double> gathered(values.size());
+    comm.gather(std::span<const double>(values), std::span<double>(gathered), 0);
+    EXPECT_EQ(gathered, values);
+  });
+  for (const auto kind : {perf::CommKind::Reduction, perf::CommKind::Broadcast,
+                          perf::CommKind::Gather}) {
+    EXPECT_DOUBLE_EQ(result.merged.comm().messages(kind), 0.0);
+    EXPECT_DOUBLE_EQ(result.merged.comm().bytes(kind), 0.0);
+  }
+  EXPECT_EQ(metrics.counter("comm.messages").value(), messages);
+  EXPECT_EQ(metrics.counter("comm.bytes").value(), bytes);
 }
 
 TEST(Simrt, CoArrayPutGet) {

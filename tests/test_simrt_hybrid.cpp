@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -413,6 +414,58 @@ TEST(HybridIdentical, GtcPushAndDepositionBitwise) {
   EXPECT_EQ(serial.vpar, hybrid.vpar);
   EXPECT_EQ(serial.rho, hybrid.rho);
   EXPECT_EQ(serial.q, hybrid.q);
+}
+
+/// phi, ex and ey of every owned plane after one solve_poisson on a
+/// seeded charge, in a 1-rank job (at least 3 idle helpers once the pool is
+/// warmed to 4, when `mode` is On); `efield_alone` recomputes E from that
+/// phi with compute_efield on its own. 16 x 12 planes: rows take the
+/// radix-2 batch, columns Bluestein.
+struct PoissonFields {
+  std::vector<double> phi, ex, ey, efield_alone_ex, efield_alone_ey;
+  int width = 0;
+};
+
+PoissonFields gtc_poisson(HybridMode mode) {
+  ModeGuard guard(mode);
+  run(4, [](Communicator&) {});
+  PoissonFields out;
+  run(1, [&](Communicator& comm) {
+    out.width = parallel_width();
+    gtc::TorusGrid grid(16, 12, 8, comm.size(), comm.rank());
+    for (std::size_t i = 0; i < grid.charge().size(); ++i) {
+      grid.charge()[i] = std::sin(0.37 * static_cast<double>(i)) +
+                         0.25 * std::cos(1.3 * static_cast<double>(i % 29));
+    }
+    gtc::solve_poisson(grid);
+    const std::size_t owned = grid.plane_size() * static_cast<std::size_t>(grid.planes_local());
+    out.phi = grid.phi();
+    out.ex.assign(grid.ex_plane(0), grid.ex_plane(0) + owned);
+    out.ey.assign(grid.ey_plane(0), grid.ey_plane(0) + owned);
+    std::fill_n(grid.ex_plane(0), owned, 0.0);
+    std::fill_n(grid.ey_plane(0), owned, 0.0);
+    gtc::compute_efield(grid);
+    out.efield_alone_ex.assign(grid.ex_plane(0), grid.ex_plane(0) + owned);
+    out.efield_alone_ey.assign(grid.ey_plane(0), grid.ey_plane(0) + owned);
+  });
+  return out;
+}
+
+TEST(HybridIdentical, GtcPoissonSolveBitwise) {
+  const PoissonFields serial = gtc_poisson(HybridMode::Off);
+  const PoissonFields hybrid = gtc_poisson(HybridMode::On);
+  EXPECT_EQ(serial.width, 1);
+  EXPECT_GE(hybrid.width, 4);  // the rank plus 3 helpers or more
+  ASSERT_FALSE(serial.phi.empty());
+  // One chunk per plane writes its phi and then its E: which thread served a
+  // plane must not matter, and neither may solving E apart from phi.
+  EXPECT_EQ(serial.phi, hybrid.phi);
+  EXPECT_EQ(serial.ex, hybrid.ex);
+  EXPECT_EQ(serial.ey, hybrid.ey);
+  EXPECT_EQ(serial.efield_alone_ex, serial.ex);
+  EXPECT_EQ(serial.efield_alone_ey, serial.ey);
+  EXPECT_EQ(hybrid.efield_alone_ex, hybrid.ex);
+  EXPECT_EQ(hybrid.efield_alone_ey, hybrid.ey);
 }
 
 std::vector<fft::Complex> fft_batch(HybridMode mode) {

@@ -261,7 +261,9 @@ TEST_P(CollectiveEquivalence, GatherVariableSizesToRandomRoots) {
 
       std::vector<int> out(expected.size(), -1);
       comm.gather<int>(contribution, std::span<int>(out), root);
-      if (comm.rank() == root) ASSERT_EQ(out, expected);
+      if (comm.rank() == root) {
+        ASSERT_EQ(out, expected);
+      }
     });
   }
 }
